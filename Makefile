@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck bench bench-report bench-short bench-shards trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck bench bench-report bench-short trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
@@ -58,15 +58,6 @@ bench-report:
 # CI-sized bench report: the fastest experiments only, same JSON schema.
 bench-short:
 	$(GO) run ./cmd/scotchsim bench -out BENCH_scotch.json fig14 fig4 table1 cluster-scale devolve-ablation devolve-invalidate
-
-# Partitioned event core: benchmark the shardable experiments on the
-# sharded engine (2 workers) and pin byte-identical serial-vs-sharded
-# output, including under the race detector (reduced matrix there; set
-# SCOTCH_DETERMINISM_ALL=1 on the test for the full six-experiment one).
-bench-shards:
-	$(GO) run ./cmd/scotchsim -shards 2 bench -out BENCH_shards.json fig13 ablation-elephant-threshold ablation-withdrawal
-	$(GO) test -run TestShardedByteIdentical ./internal/experiments/
-	$(GO) test -race -run TestShardedByteIdentical ./internal/experiments/
 
 # Sample control-path trace (Chrome trace-event JSON, loadable in
 # chrome://tracing / Perfetto).

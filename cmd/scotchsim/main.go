@@ -21,14 +21,6 @@
 // (-trace / -stages) and health observation (-health and friends) force
 // serial execution so collected traces and digests line up with output
 // order; the experiments' own tables are byte-unchanged either way.
-//
-// -shards N additionally parallelizes INSIDE a run: experiments marked
-// shardable build their topology on a partitioned event engine — one lane
-// per vSwitch — executed by N workers under a conservative lookahead
-// protocol. Output stays byte-identical to the serial engine at any shard
-// count; experiments that mutate the topology mid-run (elastic, chaos),
-// enable devolution, or run with tracing/observation armed fall back to
-// the serial engine automatically.
 package main
 
 import (
@@ -49,14 +41,12 @@ import (
 
 func main() {
 	parallel := flag.Int("parallel", runtime.NumCPU(), "number of experiments to run concurrently")
-	shards := flag.Int("shards", 0, "worker goroutines per shardable experiment's partitioned engine (0 = serial engine)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
 	}
-	experiments.SetShards(*shards)
 	switch flag.Arg(0) {
 	case "list":
 		for _, e := range experiments.All() {
@@ -295,7 +285,7 @@ func describe(ids []string) string {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, strings.TrimSpace(`
-usage: scotchsim [-parallel N] [-shards N] list | all
+usage: scotchsim [-parallel N] list | all
        scotchsim run [-trace file] [-stages] [-health] [-health-json file] [-profile-dir dir] [-statusz-addr addr] [-balance] <id>...
        scotchsim bench [-out file] [id...]
 `))

@@ -105,7 +105,7 @@ const maxLog = 512
 // Balancer runs the joint-elasticity control loop. All methods are safe
 // on a nil receiver (no-ops), so call sites never guard.
 type Balancer struct {
-	eng    sim.Proc
+	eng    *sim.Engine
 	cfg    Config
 	view   ViewFunc
 	act    Actuators
@@ -124,7 +124,7 @@ type Balancer struct {
 // New validates cfg and binds a balancer to its view source and
 // actuators. It panics on a malformed config: these are programming
 // errors, not runtime conditions.
-func New(eng sim.Proc, cfg Config, view ViewFunc, act Actuators) *Balancer {
+func New(eng *sim.Engine, cfg Config, view ViewFunc, act Actuators) *Balancer {
 	cfg.validate()
 	if view == nil {
 		panic("balance: nil ViewFunc")

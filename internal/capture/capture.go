@@ -35,7 +35,7 @@ func (f *FlowRecord) Completed() bool {
 
 // Capture aggregates flow records for one experiment.
 type Capture struct {
-	eng sim.Proc
+	eng *sim.Engine
 	// flows indexes records by flow ID: IDs are dense (1, 2, 3, ...), so
 	// record i lives at flows[i-1]. arena is the current allocation block
 	// records are carved from, so registering a flow costs one heap
@@ -54,7 +54,7 @@ type Capture struct {
 }
 
 // New returns an empty capture.
-func New(eng sim.Proc) *Capture {
+func New(eng *sim.Engine) *Capture {
 	return &Capture{
 		eng:     eng,
 		byKey:   make(map[netaddr.FlowKey]*FlowRecord),

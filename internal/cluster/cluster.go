@@ -142,7 +142,7 @@ func (p *Pod) Owns(dpid uint64) bool { return p.set[dpid] }
 // migrations and failovers. All methods run inside the simulation's
 // single-threaded event loop.
 type Coordinator struct {
-	Eng sim.Proc
+	Eng *sim.Engine
 	Cfg Config
 
 	Replicas []*Replica
@@ -163,7 +163,7 @@ type Coordinator struct {
 }
 
 // New creates a coordinator on the simulation engine.
-func New(eng sim.Proc, cfg Config) *Coordinator {
+func New(eng *sim.Engine, cfg Config) *Coordinator {
 	return &Coordinator{
 		Eng:    eng,
 		Cfg:    cfg,

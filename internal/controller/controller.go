@@ -77,11 +77,10 @@ type SwitchHandle struct {
 	dead         bool
 }
 
-// Controller is the central OpenFlow controller. Eng is the scheduling
-// context the controller runs on: the shared engine in serial mode, the
-// controller's lane in a sharded run.
+// Controller is the central OpenFlow controller. Eng is the engine the
+// controller runs on.
 type Controller struct {
-	Eng sim.Proc
+	Eng *sim.Engine
 	Net *topo.Network
 
 	apps     []App
@@ -113,7 +112,7 @@ type pinJob struct {
 }
 
 // New creates a controller over the given network.
-func New(eng sim.Proc, net *topo.Network) *Controller {
+func New(eng *sim.Engine, net *topo.Network) *Controller {
 	return &Controller{
 		Eng:      eng,
 		Net:      net,
@@ -189,7 +188,7 @@ func (c *Controller) Connect(sw *device.Switch) *SwitchHandle {
 		roleCB:       make(map[uint32]func(*openflow.RoleReply)),
 	}
 	c.switches[sw.DPID] = h
-	h.connID = sw.AttachControllerOn(c.Eng, c.receive)
+	h.connID = sw.AttachController(c.receive)
 	h.send(&openflow.Hello{})
 	h.send(&openflow.FeaturesRequest{})
 	return h
@@ -243,7 +242,7 @@ func (c *Controller) Reconnect() {
 	sort.Slice(dpids, func(i, j int) bool { return dpids[i] < dpids[j] })
 	for _, dpid := range dpids {
 		h := c.switches[dpid]
-		h.connID = h.Dev.AttachControllerOn(c.Eng, c.receive)
+		h.connID = h.Dev.AttachController(c.receive)
 		h.role = openflow.RoleEqual
 		h.echoPending = 0
 		h.send(&openflow.Hello{})
@@ -287,7 +286,7 @@ func (h *SwitchHandle) PushPolicy(apply func()) {
 		return
 	}
 	h.ctrl.Stats.PolicyPushes++
-	h.ctrl.Eng.Defer(h.Dev.Proc(), h.Dev.Profile.CtrlDelay, apply)
+	h.ctrl.Eng.Schedule(h.Dev.Profile.CtrlDelay, apply)
 }
 
 // InstallFlow sends a FlowMod to the switch.

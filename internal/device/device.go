@@ -12,11 +12,9 @@ import (
 type Node interface {
 	// Name returns the node's unique name.
 	Name() string
-	// Proc returns the scheduling context the node runs on: the shared
-	// engine in serial mode, the node's partition lane in sharded mode.
-	// Links and tunnels deliver into the destination node's Proc, which
-	// is what lets partitions simulate concurrently.
-	Proc() sim.Proc
+	// Proc returns the engine the node runs on. Links and tunnels time
+	// and schedule a transmission on the sending node's engine.
+	Proc() *sim.Engine
 	// Receive delivers a packet arriving on one of the node's ports.
 	Receive(pkt *packet.Packet, port *Port)
 	// attachPort registers a new port on the node.
@@ -67,10 +65,9 @@ type LinkConfig struct {
 const defaultQueueBytes = 256 << 10
 
 // Link is a full-duplex point-to-point link with serialization delay,
-// propagation delay, and a finite per-direction queue. All per-link state
-// is kept per direction so the two endpoints may live on different
-// partition lanes of a sharded engine: each lane only ever touches its
-// own direction's slots.
+// propagation delay, and a finite per-direction queue. The transmit
+// state (busy horizon, drop counter) is kept per direction, so traffic one
+// way never queues behind traffic the other way.
 type Link struct {
 	a, b *Port
 	cfg  LinkConfig
@@ -81,8 +78,8 @@ type Link struct {
 }
 
 // Connect creates a link between new ports aPort on a and bPort on b.
-// Packets are timed against the sender's clock and delivered on the
-// receiver's Proc, so the link itself needs no engine reference.
+// Packets are timed and scheduled on the sender's engine, so the link
+// itself needs no engine reference.
 func Connect(a Node, aPort uint32, b Node, bPort uint32, cfg LinkConfig) *Link {
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = defaultQueueBytes
@@ -124,8 +121,8 @@ func (l *Link) transmit(pkt *packet.Packet, from *Port) {
 		l.drops[d]++
 		return
 	}
-	src := from.Owner.Proc()
-	now := src.Now()
+	eng := from.Owner.Proc()
+	now := eng.Now()
 	start := l.busyUntil[d]
 	if start < now {
 		start = now
@@ -142,13 +139,11 @@ func (l *Link) transmit(pkt *packet.Packet, from *Port) {
 	}
 	l.busyUntil[d] = start + txTime
 	to := from.peer
-	// Propagation delay is the sharded engine's lookahead floor: delivery
-	// lands on the receiver's lane at least cfg.Delay in the future.
-	src.DeferCall(to.Owner.Proc(), start+txTime+l.cfg.Delay-now, deliverLinkPkt, to, pkt)
+	eng.ScheduleCall(start+txTime+l.cfg.Delay-now, deliverLinkPkt, to, pkt)
 }
 
 // deliverLinkPkt is the static delivery callback for every link in the
-// model, scheduled via DeferCall so per-packet transit allocates nothing.
+// model, scheduled via ScheduleCall so per-packet transit allocates nothing.
 func deliverLinkPkt(a1, a2 any) {
 	to := a1.(*Port)
 	to.Owner.Receive(a2.(*packet.Packet), to)

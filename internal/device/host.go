@@ -9,7 +9,7 @@ import (
 // Host is an end host: it sources and sinks traffic on a single port.
 type Host struct {
 	name  string
-	proc  sim.Proc
+	eng   *sim.Engine
 	IP    netaddr.IPv4
 	MAC   netaddr.MAC
 	ports []*Port
@@ -22,15 +22,15 @@ type Host struct {
 }
 
 // NewHost creates a host with the given address.
-func NewHost(eng sim.Proc, name string, ip netaddr.IPv4, mac netaddr.MAC) *Host {
-	return &Host{name: name, proc: eng, IP: ip, MAC: mac}
+func NewHost(eng *sim.Engine, name string, ip netaddr.IPv4, mac netaddr.MAC) *Host {
+	return &Host{name: name, eng: eng, IP: ip, MAC: mac}
 }
 
 // Name implements Node.
 func (h *Host) Name() string { return h.name }
 
 // Proc implements Node.
-func (h *Host) Proc() sim.Proc { return h.proc }
+func (h *Host) Proc() *sim.Engine { return h.eng }
 
 func (h *Host) attachPort(p *Port) { h.ports = append(h.ports, p) }
 
@@ -61,7 +61,7 @@ func (h *Host) Receive(pkt *packet.Packet, _ *Port) {
 	}
 	h.Received++
 	if h.OnReceive != nil {
-		h.OnReceive(pkt, h.proc.Now())
+		h.OnReceive(pkt, h.eng.Now())
 	}
 }
 

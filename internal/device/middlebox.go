@@ -16,7 +16,7 @@ import (
 // a different firewall drops it.
 type Firewall struct {
 	name  string
-	proc  sim.Proc
+	eng   *sim.Engine
 	ports [2]*Port
 	nport int
 
@@ -30,10 +30,10 @@ type Firewall struct {
 // NewFirewall creates a firewall. Connect its two ports with Connect; the
 // first connected port is "upstream" (S_U side), the second "downstream"
 // (S_D side).
-func NewFirewall(eng sim.Proc, name string, delay time.Duration) *Firewall {
+func NewFirewall(eng *sim.Engine, name string, delay time.Duration) *Firewall {
 	return &Firewall{
 		name:        name,
-		proc:        eng,
+		eng:         eng,
 		Delay:       delay,
 		established: make(map[netaddr.FlowKey]bool),
 	}
@@ -43,7 +43,7 @@ func NewFirewall(eng sim.Proc, name string, delay time.Duration) *Firewall {
 func (f *Firewall) Name() string { return f.name }
 
 // Proc implements Node.
-func (f *Firewall) Proc() sim.Proc { return f.proc }
+func (f *Firewall) Proc() *sim.Engine { return f.eng }
 
 func (f *Firewall) attachPort(p *Port) {
 	if f.nport < 2 {
@@ -83,7 +83,7 @@ func (f *Firewall) Receive(pkt *packet.Packet, port *Port) {
 	if out == nil {
 		return
 	}
-	f.proc.Schedule(f.Delay, func() { out.Send(pkt, 0) })
+	f.eng.Schedule(f.Delay, func() { out.Send(pkt, 0) })
 }
 
 func (f *Firewall) other(p *Port) *Port {
@@ -102,7 +102,7 @@ func (f *Firewall) other(p *Port) *Port {
 // consistency argument.
 type LoadBalancer struct {
 	name  string
-	proc  sim.Proc
+	eng   *sim.Engine
 	ports [2]*Port
 	nport int
 
@@ -115,9 +115,9 @@ type LoadBalancer struct {
 }
 
 // NewLoadBalancer creates a load balancer for the given virtual IP.
-func NewLoadBalancer(eng sim.Proc, name string, vip netaddr.IPv4, backends []netaddr.IPv4, delay time.Duration) *LoadBalancer {
+func NewLoadBalancer(eng *sim.Engine, name string, vip netaddr.IPv4, backends []netaddr.IPv4, delay time.Duration) *LoadBalancer {
 	return &LoadBalancer{
-		name: name, proc: eng, VIP: vip, Backends: backends, Delay: delay,
+		name: name, eng: eng, VIP: vip, Backends: backends, Delay: delay,
 		mapping: make(map[netaddr.FlowKey]netaddr.IPv4),
 	}
 }
@@ -126,7 +126,7 @@ func NewLoadBalancer(eng sim.Proc, name string, vip netaddr.IPv4, backends []net
 func (lb *LoadBalancer) Name() string { return lb.name }
 
 // Proc implements Node.
-func (lb *LoadBalancer) Proc() sim.Proc { return lb.proc }
+func (lb *LoadBalancer) Proc() *sim.Engine { return lb.eng }
 
 func (lb *LoadBalancer) attachPort(p *Port) {
 	if lb.nport < 2 {
@@ -159,7 +159,7 @@ func (lb *LoadBalancer) Receive(pkt *packet.Packet, port *Port) {
 	if out == nil {
 		return
 	}
-	lb.proc.Schedule(lb.Delay, func() { out.Send(pkt, 0) })
+	lb.eng.Schedule(lb.Delay, func() { out.Send(pkt, 0) })
 }
 
 func (lb *LoadBalancer) other(p *Port) *Port {

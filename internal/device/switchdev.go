@@ -54,7 +54,7 @@ type LocalAgent interface {
 type Switch struct {
 	name    string
 	DPID    uint64
-	proc    sim.Proc
+	eng     *sim.Engine
 	Profile Profile
 
 	Pipeline *flowtable.Pipeline
@@ -101,11 +101,11 @@ type dataItem struct {
 
 // NewSwitch creates a switch with the given profile and starts its expiry
 // sweeper.
-func NewSwitch(eng sim.Proc, name string, dpid uint64, prof Profile) *Switch {
+func NewSwitch(eng *sim.Engine, name string, dpid uint64, prof Profile) *Switch {
 	sw := &Switch{
 		name:        name,
 		DPID:        dpid,
-		proc:        eng,
+		eng:         eng,
 		Profile:     prof,
 		Pipeline:    flowtable.NewPipeline(prof.NumTables, prof.TableCapacity),
 		ports:       make(map[uint32]*Port),
@@ -125,7 +125,7 @@ func NewSwitch(eng sim.Proc, name string, dpid uint64, prof Profile) *Switch {
 func (sw *Switch) Name() string { return sw.name }
 
 // Proc implements Node.
-func (sw *Switch) Proc() sim.Proc { return sw.proc }
+func (sw *Switch) Proc() *sim.Engine { return sw.eng }
 
 func (sw *Switch) attachPort(p *Port) { sw.ports[p.ID] = p }
 
@@ -138,46 +138,27 @@ func (sw *Switch) detachPort(p *Port) {
 // Port returns the port with the given id, or nil.
 func (sw *Switch) Port(id uint32) *Port { return sw.ports[id] }
 
-// ctrlConn is one controller connection at the switch's OFA. proc is the
-// scheduling context the controller end runs on: switch-to-controller
-// messages are deferred onto it, and controller-to-switch deliveries
-// originate from it, which is what keeps the control channel safe when
-// switch and controller live on different partition lanes.
+// ctrlConn is one controller connection at the switch's OFA.
 type ctrlConn struct {
 	id   int
 	send func(dpid uint64, msg []byte)
 	role uint32
-	proc sim.Proc
 }
 
 // SetController installs fn as the switch's only controller connection
 // (id 0, equal role), replacing any existing connections. This is the
 // single-controller fast path; clustered controllers use AttachController.
-// The connection's far end is assumed to share the switch's Proc — use
-// SetControllerOn when the controller runs elsewhere.
 func (sw *Switch) SetController(fn func(dpid uint64, msg []byte)) {
-	sw.SetControllerOn(sw.proc, fn)
-}
-
-// SetControllerOn is SetController with an explicit controller-side Proc.
-func (sw *Switch) SetControllerOn(proc sim.Proc, fn func(dpid uint64, msg []byte)) {
-	sw.conns = []*ctrlConn{{id: 0, send: fn, role: openflow.RoleEqual, proc: proc}}
+	sw.conns = []*ctrlConn{{id: 0, send: fn, role: openflow.RoleEqual}}
 	sw.nextConn = 1
 }
 
 // AttachController adds a controller connection (equal role until a
-// RoleRequest changes it) whose far end shares the switch's Proc, and
-// returns its connection id.
+// RoleRequest changes it) and returns its connection id.
 func (sw *Switch) AttachController(fn func(dpid uint64, msg []byte)) int {
-	return sw.AttachControllerOn(sw.proc, fn)
-}
-
-// AttachControllerOn is AttachController with an explicit controller-side
-// Proc.
-func (sw *Switch) AttachControllerOn(proc sim.Proc, fn func(dpid uint64, msg []byte)) int {
 	id := sw.nextConn
 	sw.nextConn++
-	sw.conns = append(sw.conns, &ctrlConn{id: id, send: fn, role: openflow.RoleEqual, proc: proc})
+	sw.conns = append(sw.conns, &ctrlConn{id: id, send: fn, role: openflow.RoleEqual})
 	return id
 }
 
@@ -322,11 +303,11 @@ func (sw *Switch) InsertBacklog() int { return sw.ruleSrv.QueueLen() }
 
 // processData is the data-plane lookup stage.
 func (sw *Switch) processData(it dataItem) {
-	now := sw.proc.Now()
+	now := sw.eng.Now()
 	// TCAM write stall (Fig. 10): drop the packet with probability equal
 	// to the fraction of time the pipeline is blocked by rule insertions.
 	if stall := sw.Profile.StallFraction(sw.insertMeter.Rate(now)); stall > 0 &&
-		sw.proc.Rand().Float64() < stall {
+		sw.eng.Rand().Float64() < stall {
 		sw.Stats.StallDrops++
 		return
 	}
@@ -457,21 +438,21 @@ func (sw *Switch) sendAsync(m openflow.Message) {
 			}
 			delay += v.Delay
 			if v.Duplicate {
-				sw.proc.DeferBytes(c.proc, delay, deliverToConn, c.send, int(dpid), b)
+				sw.eng.ScheduleBytes(delay, deliverToConn, c.send, int(dpid), b)
 			}
 		}
-		sw.proc.DeferBytes(c.proc, delay, deliverToConn, c.send, int(dpid), b)
+		sw.eng.ScheduleBytes(delay, deliverToConn, c.send, int(dpid), b)
 	}
 }
 
-// deliverToConn is the DeferBytes target for switch-to-controller sends:
+// deliverToConn is the ScheduleBytes target for switch-to-controller sends:
 // obj is the connection's send func and id the switch DPID, so the
-// deferred delivery allocates nothing (func values are pointer-shaped).
+// scheduled delivery allocates nothing (func values are pointer-shaped).
 func deliverToConn(obj any, dpid int, b []byte) {
 	obj.(func(dpid uint64, msg []byte))(uint64(dpid), b)
 }
 
-// deliverControl is the DeferBytes target for controller-to-switch sends.
+// deliverControl is the ScheduleBytes target for controller-to-switch sends.
 func deliverControl(obj any, connID int, b []byte) {
 	obj.(*Switch).handleControl(connID, b)
 }
@@ -496,10 +477,10 @@ func (sw *Switch) sendToConnXID(connID int, m openflow.Message, xid uint32) {
 		}
 		delay += v.Delay
 		if v.Duplicate {
-			sw.proc.DeferBytes(c.proc, delay, deliverToConn, c.send, int(dpid), b)
+			sw.eng.ScheduleBytes(delay, deliverToConn, c.send, int(dpid), b)
 		}
 	}
-	sw.proc.DeferBytes(c.proc, delay, deliverToConn, c.send, int(dpid), b)
+	sw.eng.ScheduleBytes(delay, deliverToConn, c.send, int(dpid), b)
 }
 
 // DeliverControl accepts an encoded controller-to-switch message on the
@@ -508,14 +489,8 @@ func (sw *Switch) sendToConnXID(connID int, m openflow.Message, xid uint32) {
 func (sw *Switch) DeliverControl(b []byte) { sw.DeliverControlFrom(0, b) }
 
 // DeliverControlFrom accepts an encoded controller-to-switch message on a
-// specific connection. It runs on the caller's (controller-side) context:
-// the message is deferred from the connection's Proc onto the switch's,
-// arriving after the control channel's one-way delay.
+// specific connection, arriving after the control channel's one-way delay.
 func (sw *Switch) DeliverControlFrom(connID int, b []byte) {
-	src := sw.proc
-	if c := sw.conn(connID); c != nil && c.proc != nil {
-		src = c.proc
-	}
 	delay := sw.Profile.CtrlDelay
 	if sw.chFaults != nil {
 		v := sw.chFaults.Verdict()
@@ -524,10 +499,10 @@ func (sw *Switch) DeliverControlFrom(connID int, b []byte) {
 		}
 		delay += v.Delay
 		if v.Duplicate {
-			src.DeferBytes(sw.proc, delay, deliverControl, sw, connID, b)
+			sw.eng.ScheduleBytes(delay, deliverControl, sw, connID, b)
 		}
 	}
-	src.DeferBytes(sw.proc, delay, deliverControl, sw, connID, b)
+	sw.eng.ScheduleBytes(delay, deliverControl, sw, connID, b)
 }
 
 // ruleItem is a FlowMod or barrier queued at the OFA, tagged with its
@@ -656,7 +631,7 @@ func (sw *Switch) handleRoleRequest(c *ctrlConn, m *openflow.RoleRequest, xid ui
 // processRule is the OFA's rule-installation stage.
 func (sw *Switch) processRule(it ruleItem) {
 	defer sw.updateRuleRate()
-	now := sw.proc.Now()
+	now := sw.eng.Now()
 	if it.barrier {
 		sw.sendToConnXID(it.conn, &openflow.BarrierReply{}, it.xid)
 		return
@@ -730,7 +705,7 @@ func (sw *Switch) updateRuleRate() {
 }
 
 func (sw *Switch) sweepExpired() {
-	now := sw.proc.Now()
+	now := sw.eng.Now()
 	for _, tbl := range sw.Pipeline.Tables {
 		rules, reasons := tbl.Expire(now)
 		for i, r := range rules {
@@ -759,7 +734,7 @@ func (sw *Switch) replyFlowStats(connID int, req *openflow.MultipartRequest, xid
 	if req.MPType != openflow.MultipartFlow || req.Flow == nil {
 		return
 	}
-	now := sw.proc.Now()
+	now := sw.eng.Now()
 	reply := &openflow.MultipartReply{MPType: openflow.MultipartFlow}
 	for _, tbl := range sw.Pipeline.Tables {
 		if req.Flow.TableID != 0xff && tbl.ID != req.Flow.TableID {

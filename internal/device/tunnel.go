@@ -44,9 +44,7 @@ type TunnelConfig struct {
 
 // Tunnel is a point-to-point overlay tunnel between two switch ports.
 // Like Link, all mutable state is split per direction (transmit-side
-// counters indexed by direction, receive-side counters likewise) so the
-// endpoints can live on different partition lanes: each counter slot has
-// exactly one writing lane.
+// counters indexed by direction, receive-side counters likewise).
 type Tunnel struct {
 	Cfg  TunnelConfig
 	a, b *Port
@@ -140,8 +138,8 @@ func (t *Tunnel) transmit(pkt *packet.Packet, from *Port, tunnelKey uint64) {
 	}
 	t.encapped[d]++
 
-	src := from.Owner.Proc()
-	now := src.Now()
+	eng := from.Owner.Proc()
+	now := eng.Now()
 	start := t.busyUntil[d]
 	if start < now {
 		start = now
@@ -157,11 +155,11 @@ func (t *Tunnel) transmit(pkt *packet.Packet, from *Port, tunnelKey uint64) {
 	}
 	t.busyUntil[d] = start + txTime
 	to := from.peer
-	src.DeferCall(to.Owner.Proc(), start+txTime+t.Cfg.Delay-now, deliverTunnelPkt, to, pkt)
+	eng.ScheduleCall(start+txTime+t.Cfg.Delay-now, deliverTunnelPkt, to, pkt)
 }
 
 // deliverTunnelPkt is the static delivery callback for every tunnel,
-// scheduled via DeferCall so per-packet transit allocates nothing. The
+// scheduled via ScheduleCall so per-packet transit allocates nothing. The
 // tunnel and receive direction are recovered from the destination port.
 func deliverTunnelPkt(a1, a2 any) {
 	to := a1.(*Port)

@@ -162,7 +162,7 @@ func (bx *devBox) RuleApplied() {
 // lookups run on the data path); a nil *Cache is a no-op for reads.
 type Cache struct {
 	sw  *device.Switch
-	eng sim.Proc
+	eng *sim.Engine
 	m   *Metrics
 
 	mu           sync.RWMutex
@@ -179,7 +179,7 @@ type Cache struct {
 // New attaches a policy cache to a mesh vSwitch as its local agent and
 // starts the elephant/GC sweep at sweepEvery (the scotch stats
 // interval). m (optional) aggregates metrics across a pool of caches.
-func New(eng sim.Proc, sw *device.Switch, sweepEvery time.Duration, m *Metrics) *Cache {
+func New(eng *sim.Engine, sw *device.Switch, sweepEvery time.Duration, m *Metrics) *Cache {
 	c := &Cache{
 		sw:           sw,
 		eng:          eng,

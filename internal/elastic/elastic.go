@@ -78,7 +78,7 @@ type Stats struct {
 
 // Autoscaler runs the hysteresis control loop over a Pool.
 type Autoscaler struct {
-	eng    sim.Proc
+	eng    *sim.Engine
 	cfg    Config
 	pool   Pool
 	load   LoadFunc
@@ -98,7 +98,7 @@ type Autoscaler struct {
 // New validates cfg and binds an autoscaler to a pool and load signal.
 // It panics on a malformed config: these are programming errors, not
 // runtime conditions.
-func New(eng sim.Proc, cfg Config, pool Pool, load LoadFunc) *Autoscaler {
+func New(eng *sim.Engine, cfg Config, pool Pool, load LoadFunc) *Autoscaler {
 	if cfg.EvalInterval <= 0 {
 		panic("elastic: non-positive EvalInterval")
 	}

@@ -77,7 +77,7 @@ func (p *VSwitchPool) Shrink() error {
 // signal the elastic experiment scales on — it is exactly the work the
 // mesh absorbs for the control plane, so it rises with the attack and
 // falls when the attack stops or capacity is added.
-func OverlayRate(eng sim.Proc, app *scotch.App, pool Pool) LoadFunc {
+func OverlayRate(eng *sim.Engine, app *scotch.App, pool Pool) LoadFunc {
 	var prevCount uint64
 	var prevAt sim.Time
 	return func() float64 {

@@ -31,7 +31,7 @@ func runAblationFIFO(w io.Writer) error {
 	for _, fifo := range []bool{false, true} {
 		cfg := scotch.DefaultConfig()
 		cfg.FIFOScheduler = fifo
-		r := newRig(rigConfig{seed: 24, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, shardable: true})
+		r := newRig(rigConfig{seed: 24, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
 		r.eng.RunUntil(dur)
@@ -67,7 +67,7 @@ func runAblationWithdrawal(w io.Writer) error {
 		if !enabled {
 			cfg.DeactivateRate = 0 // rate never falls below zero: no withdrawal
 		}
-		r := newRig(rigConfig{seed: 25, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, shardable: true})
+		r := newRig(rigConfig{seed: 25, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		r.eng.Schedule(surgeEnd, atk.Stop)
 		r.eng.RunUntil(quietEnd)

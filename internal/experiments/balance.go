@@ -80,7 +80,7 @@ func CollectedBalance() []NamedBalance {
 // newRunAdvisor attaches an Advise-mode balancer to a freshly armed rig
 // observatory. Called by newRunObservatory/newClusterRunObservatory; a
 // nil observatory (observation disarmed) leaves the rig advisor-free.
-func newRunAdvisor(eng sim.Proc, o *obs.Observatory) {
+func newRunAdvisor(eng *sim.Engine, o *obs.Observatory) {
 	if o == nil {
 		return
 	}

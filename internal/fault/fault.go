@@ -109,7 +109,7 @@ type Environment interface {
 // them through an Environment, recording each injection as a telemetry
 // Mark when a tracer is attached.
 type Runner struct {
-	eng sim.Proc
+	eng *sim.Engine
 	env Environment
 	tr  *telemetry.Tracer
 
@@ -119,7 +119,7 @@ type Runner struct {
 
 // NewRunner binds a runner to an engine, an environment, and an optional
 // tracer (nil is fine and costs nothing).
-func NewRunner(eng sim.Proc, env Environment, tr *telemetry.Tracer) *Runner {
+func NewRunner(eng *sim.Engine, env Environment, tr *telemetry.Tracer) *Runner {
 	return &Runner{eng: eng, env: env, tr: tr}
 }
 

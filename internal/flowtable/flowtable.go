@@ -471,7 +471,7 @@ type Pipeline struct {
 	// two-table pipeline (the vSwitch shape) merges without allocating.
 	// The returned Result.Actions may alias it: callers must finish with
 	// one Process result before the next call (the simulated switch runs
-	// its pipeline on a single lane; concurrent users must copy).
+	// its pipeline on one event loop; concurrent users must copy).
 	mergeScratch []openflow.Action
 }
 

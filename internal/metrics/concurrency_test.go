@@ -148,29 +148,3 @@ func TestHistogramSnapshot(t *testing.T) {
 		t.Fatal("empty snapshot not zero")
 	}
 }
-
-// TestTimeSeriesZeroFillLongGap covers zero-fill across a gap much longer
-// than a single bin: every intermediate bin appears exactly once with V=0.
-func TestTimeSeriesZeroFillLongGap(t *testing.T) {
-	ts := NewTimeSeries(time.Second)
-	ts.Add(500*time.Millisecond, 2)
-	ts.Add(100*time.Second+500*time.Millisecond, 7)
-	pts := ts.Points()
-	if len(pts) != 101 {
-		t.Fatalf("points = %d, want 101", len(pts))
-	}
-	if pts[0].T != 0 || pts[0].V != 2 {
-		t.Fatalf("first point = %+v", pts[0])
-	}
-	if last := pts[100]; last.T != 100*time.Second || last.V != 7 {
-		t.Fatalf("last point = %+v", last)
-	}
-	for i := 1; i < 100; i++ {
-		if pts[i].V != 0 {
-			t.Fatalf("gap bin %d = %v, want 0", i, pts[i].V)
-		}
-		if pts[i].T != time.Duration(i)*time.Second {
-			t.Fatalf("gap bin %d time = %v", i, pts[i].T)
-		}
-	}
-}

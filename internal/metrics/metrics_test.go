@@ -105,31 +105,6 @@ func TestRateMeterTotalLifetime(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries(time.Second)
-	ts.Add(100*time.Millisecond, 1)
-	ts.Add(900*time.Millisecond, 2)
-	ts.Add(2500*time.Millisecond, 5)
-	pts := ts.Points()
-	if len(pts) != 3 {
-		t.Fatalf("points = %v", pts)
-	}
-	if pts[0].V != 3 || pts[1].V != 0 || pts[2].V != 5 {
-		t.Fatalf("values = %v", pts)
-	}
-	rates := ts.RatePoints()
-	if rates[0].V != 3 {
-		t.Fatalf("rate = %v", rates[0].V)
-	}
-}
-
-func TestTimeSeriesEmpty(t *testing.T) {
-	ts := NewTimeSeries(time.Second)
-	if pts := ts.Points(); pts != nil {
-		t.Fatalf("empty series points = %v", pts)
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := 1; i <= 100; i++ {

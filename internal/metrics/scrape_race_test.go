@@ -6,45 +6,6 @@ import (
 	"time"
 )
 
-// TestTimeSeriesConcurrentAddPoints hammers Add from writer goroutines
-// while readers drain Points/RatePoints; run with -race. The final binned
-// totals must account for every write.
-func TestTimeSeriesConcurrentAddPoints(t *testing.T) {
-	ts := NewTimeSeries(100 * time.Millisecond)
-	const writers, perWriter = 8, 2000
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				// Spread writes over ten bins so reads see zero-fill
-				// ranges being extended concurrently.
-				now := time.Duration(i%10)*100*time.Millisecond + time.Duration(w)
-				ts.Add(now, 1)
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			_ = ts.Points()
-			_ = ts.RatePoints()
-		}
-	}()
-	wg.Wait()
-
-	var total float64
-	for _, p := range ts.Points() {
-		total += p.V
-	}
-	if want := float64(writers * perWriter); total != want {
-		t.Fatalf("binned total = %v, want %v", total, want)
-	}
-}
-
 // TestBucketHistogramConcurrentScrape runs Observe against the full read
 // surface (Counts, Quantile, Mean, String) under -race, then checks the
 // totals. Complements TestBucketHistogramConcurrent by scraping the same

@@ -99,7 +99,7 @@ type component struct {
 // samples; the probe functions themselves only run on the simulation
 // goroutine (inside the sampling tick).
 type Observatory struct {
-	eng sim.Proc
+	eng *sim.Engine
 	cfg Config
 
 	mu         sync.Mutex
@@ -115,7 +115,7 @@ type Observatory struct {
 }
 
 // New returns an observatory bound to the engine (not yet sampling).
-func New(eng sim.Proc, cfg Config) *Observatory {
+func New(eng *sim.Engine, cfg Config) *Observatory {
 	o := &Observatory{
 		eng:    eng,
 		cfg:    cfg.withDefaults(),

@@ -392,7 +392,7 @@ func (o *Overlay) usable(vs uint64) bool {
 func (o *Overlay) liveFanout(dpid uint64) []physTunnel {
 	// Reuses the overlay's scratch buffers: both callers consume the
 	// result before the next liveFanout call and never retain it, and
-	// the overlay runs single-threaded on the controller's lane.
+	// the overlay runs single-threaded on the simulation event loop.
 	primaries := o.fanoutScratch[:0]
 	spares := o.spareScratch[:0]
 	nPrimary := 0

@@ -34,7 +34,7 @@ type fifoItem struct {
 // "Such a priority order causes small flows to be forwarded on physical
 // paths only after all large flows are accommodated."
 type installScheduler struct {
-	eng  sim.Proc
+	eng  *sim.Engine
 	rate float64
 	busy bool
 
@@ -66,7 +66,7 @@ type installScheduler struct {
 	serveFn func()
 }
 
-func newScheduler(eng sim.Proc, rate float64, serveIngress func(*flowReq)) *installScheduler {
+func newScheduler(eng *sim.Engine, rate float64, serveIngress func(*flowReq)) *installScheduler {
 	if rate <= 0 {
 		panic("scotch: non-positive install rate")
 	}

@@ -134,6 +134,36 @@ func TestStaleHandleAfterRecycle(t *testing.T) {
 	}
 }
 
+// TestCancelAfterFireIsNoop pins the Cancel contract for a handle whose
+// event already fired, before its node is reused: Cancel must not mark the
+// recycled node, and Canceled must keep reporting false, both from a later
+// instant and from inside the event's own callback.
+func TestCancelAfterFireIsNoop(t *testing.T) {
+	e := New(1)
+	ev := e.Schedule(1, func() {})
+	e.RunUntil(2)
+	ev.Cancel()
+	if ev.Canceled() {
+		t.Fatal("Cancel on a fired event's handle reports Canceled")
+	}
+
+	var self Event
+	self = e.Schedule(1, func() {
+		self.Cancel()
+		if self.Canceled() {
+			t.Error("Cancel inside the event's own callback reports Canceled")
+		}
+	})
+	e.RunUntil(4)
+
+	fired := false
+	e.Schedule(1, func() { fired = true })
+	e.Run()
+	if !fired {
+		t.Fatal("stale Cancel suppressed the recycled node's next event")
+	}
+}
+
 // TestTickerSteadyStateAllocFree verifies the ticker's rearm closure is
 // allocated once, not per tick.
 func TestTickerSteadyStateAllocFree(t *testing.T) {

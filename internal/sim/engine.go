@@ -21,13 +21,13 @@ type eventNode struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// fn2/a1/a2 are the argument-carrying form used by DeferCall: a
+	// fn2/a1/a2 are the argument-carrying form used by ScheduleCall: a
 	// static function plus two operands, so packet-delivery events on the
 	// hottest paths cost no closure allocation. Exactly one of fn and fn2
 	// is set.
 	fn2    func(a1, a2 any)
 	a1, a2 any
-	// fnB/id/b are the wire-delivery form used by DeferBytes: the byte
+	// fnB/id/b are the wire-delivery form used by ScheduleBytes: the byte
 	// buffer and small integer ride in the node directly (a1 carries the
 	// receiver), so control-channel deliveries cost no closure and no
 	// interface-boxing of the slice header. At most one of fn, fn2, fnB
@@ -62,12 +62,11 @@ func (ev Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on the event and its node has
-// not yet been recycled. A handle whose event fired normally reports
-// false; once a canceled event's scheduled time passes and the engine
-// reclaims its node (bumping the node's generation), the stale handle also
-// reports false — the generation check keeps it from ever observing the
-// node's next occupant.
+// Canceled reports whether Cancel was called on the event before its
+// scheduled time passed. Once that time passes the engine reclaims the
+// node (bumping its generation) whether the event fired or was skipped,
+// so the stale handle reports false — the generation check keeps it from
+// ever observing the node's next occupant.
 func (ev Event) Canceled() bool {
 	return ev.n != nil && ev.n.seq == ev.seq && ev.n.canceled
 }
@@ -153,46 +152,37 @@ func (e *Engine) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.seq++
-	ev := e.takeNode()
-	ev.at = t
-	ev.seq = e.seq
+	ev := e.takeNode(t)
 	ev.fn = fn
 	heap.Push(&e.events, ev)
-	return Event{n: ev, seq: e.seq, at: t}
+	return Event{n: ev, seq: ev.seq, at: t}
 }
 
-// at2 is At for the argument-carrying event form; it supports no cancel
-// handle, which delivery events never need.
-func (e *Engine) at2(t Time, fn func(a1, a2 any), a1, a2 any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
-	}
+// ScheduleCall is Schedule for the hottest paths: a static function plus
+// two operands instead of a closure, so per-packet delivery events cost no
+// allocation (interface-boxing a pointer is free). A negative delay is
+// treated as zero, and same-instant events run in scheduling order
+// whichever form scheduled them. There is no cancel handle: delivery
+// events never need one.
+func (e *Engine) ScheduleCall(d time.Duration, fn func(a1, a2 any), a1, a2 any) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.seq++
-	ev := e.takeNode()
-	ev.at = t
-	ev.seq = e.seq
+	ev := e.takeNode(e.now + max(d, 0))
 	ev.fn2 = fn
 	ev.a1, ev.a2 = a1, a2
 	heap.Push(&e.events, ev)
 }
 
-// atB is At for the wire-delivery event form (DeferBytes); like at2 it
-// supports no cancel handle.
-func (e *Engine) atB(t Time, fn func(obj any, id int, b []byte), obj any, id int, b []byte) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
-	}
+// ScheduleBytes is ScheduleCall for wire-delivery paths: a receiver
+// pointer (or func value), a small integer, and a byte buffer ride in the
+// recycled event node directly, so control-channel deliveries cost no
+// closure and no interface-boxing of the slice header.
+func (e *Engine) ScheduleBytes(d time.Duration, fn func(obj any, id int, b []byte), obj any, id int, b []byte) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.seq++
-	ev := e.takeNode()
-	ev.at = t
-	ev.seq = e.seq
+	ev := e.takeNode(e.now + max(d, 0))
 	ev.fnB = fn
 	ev.a1 = obj
 	ev.id = id
@@ -200,9 +190,10 @@ func (e *Engine) atB(t Time, fn func(obj any, id int, b []byte), obj any, id int
 	heap.Push(&e.events, ev)
 }
 
-// takeNode pops a recycled node or allocates a fresh one; the caller sets
-// at/seq and exactly one of fn, fn2, fnB.
-func (e *Engine) takeNode() *eventNode {
+// takeNode pops a recycled node (or allocates a fresh one) for instant t
+// with the next sequence number; the caller sets exactly one of fn, fn2,
+// fnB and pushes the node onto the heap.
+func (e *Engine) takeNode(t Time) *eventNode {
 	var ev *eventNode
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -211,32 +202,21 @@ func (e *Engine) takeNode() *eventNode {
 	} else {
 		ev = &eventNode{}
 	}
+	e.seq++
+	ev.at = t
+	ev.seq = e.seq
 	ev.index = -1
-	ev.canceled = false
 	return ev
 }
 
-// release returns a fired node to the free list. Canceled nodes take the
-// reclaim path instead: their generation must be bumped first so stale
-// handles cannot cancel the node's next occupant.
-func (e *Engine) release(ev *eventNode) {
-	if ev.canceled {
-		return
-	}
-	ev.fn = nil
-	ev.fn2 = nil
-	ev.a1, ev.a2 = nil, nil
-	ev.fnB = nil
-	ev.b = nil
-	e.free = append(e.free, ev)
-}
-
-// reclaim recycles a canceled node as its (never-run) event is popped.
-// Bumping the generation invalidates every outstanding handle: a stale
-// Cancel becomes a no-op and a stale Canceled reads false, so the node is
-// safe to hand to the next At call. Without this, cancel-heavy patterns
-// (elephant sweep timers, Ticker.Stop) would allocate a fresh node per
-// reschedule because canceled nodes never re-entered the free list.
+// reclaim recycles a node as its event is popped, whether it is about to
+// fire or was canceled. Bumping the generation invalidates every
+// outstanding handle: a stale Cancel becomes a no-op and a stale Canceled
+// reads false, so the node is safe to hand to the next At call. Recycling
+// canceled nodes too keeps cancel-heavy patterns (elephant sweep timers,
+// Ticker.Stop) allocation-free. Clearing the callback and operands drops
+// the node's references to them, so the free list keeps no buffer or
+// packet alive.
 func (e *Engine) reclaim(ev *eventNode) {
 	ev.seq++ // handles hold the pre-bump value; never handed out again
 	ev.canceled = false
@@ -276,7 +256,7 @@ func (e *Engine) RunUntil(end Time) uint64 {
 		fn, fn2, a1, a2 := next.fn, next.fn2, next.a1, next.a2
 		fnB, id, b := next.fnB, next.id, next.b
 		e.fired++
-		e.release(next)
+		e.reclaim(next)
 		switch {
 		case fn != nil:
 			fn()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -34,6 +35,72 @@ func TestSameInstantFIFO(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("same-instant events ran out of order: %v", got)
+		}
+	}
+}
+
+// TestScheduleCallForms covers the closure-free event forms: they share
+// one sequence with Schedule, so same-instant events run in scheduling
+// order whatever form scheduled them, and a negative delay means now.
+func TestScheduleCallForms(t *testing.T) {
+	e := New(1)
+	var got []string
+	note := func(a1, a2 any) { got = append(got, fmt.Sprintf("%v %v %v", a1, a2, e.Now())) }
+	noteB := func(obj any, id int, b []byte) { got = append(got, fmt.Sprintf("%v %d %s %v", obj, id, b, e.Now())) }
+
+	e.Schedule(time.Millisecond, func() { got = append(got, "s1") })
+	e.ScheduleCall(time.Millisecond, note, "c", 1)
+	e.ScheduleBytes(time.Millisecond, noteB, "b", 2, []byte("x"))
+	e.Schedule(time.Millisecond, func() { got = append(got, "s2") })
+	e.ScheduleCall(0, note, "c", 0) // earlier instant runs first
+	e.Schedule(2*time.Millisecond, func() {
+		e.ScheduleCall(-time.Millisecond, note, "neg", 3)
+		e.ScheduleBytes(-time.Millisecond, noteB, "negb", 4, nil)
+	})
+	e.Run()
+
+	want := []string{"c 0 0s", "s1", "c 1 1ms", "b 2 x 1ms", "s2", "neg 3 2ms", "negb 4  2ms"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+}
+
+// TestScheduleCallAllocFree pins the reason the closure-free forms exist:
+// with pointer operands and a caller-owned buffer, a schedule-and-fire
+// cycle allocates nothing once warm.
+func TestScheduleCallAllocFree(t *testing.T) {
+	e := New(1)
+	obj, buf := new(int), make([]byte, 64)
+	fn := func(a1, a2 any) {}
+	fnB := func(obj any, id int, b []byte) {}
+	for i := 0; i < 64; i++ {
+		e.ScheduleCall(time.Microsecond, fn, obj, obj)
+	}
+	e.Run()
+	avg := testing.AllocsPerRun(1000, func() {
+		e.ScheduleCall(time.Microsecond, fn, obj, obj)
+		e.ScheduleBytes(time.Microsecond, fnB, obj, 7, buf)
+		e.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("ScheduleCall+ScheduleBytes allocate %.1f objects/op in steady state, want 0", avg)
+	}
+}
+
+// TestFiredNodeDropsReferences checks that a recycled node holds neither
+// the callback, the operands nor the byte buffer of the event it ran, so
+// the free list keeps no packet or wire buffer alive.
+func TestFiredNodeDropsReferences(t *testing.T) {
+	e := New(1)
+	e.ScheduleCall(time.Microsecond, func(a1, a2 any) {}, new(int), new(int))
+	e.ScheduleBytes(time.Microsecond, func(obj any, id int, b []byte) {}, new(int), 1, make([]byte, 8))
+	e.Run()
+	if len(e.free) != 2 {
+		t.Fatalf("free list holds %d nodes, want 2", len(e.free))
+	}
+	for i, n := range e.free {
+		if n.fn != nil || n.fn2 != nil || n.fnB != nil || n.a1 != nil || n.a2 != nil || n.b != nil {
+			t.Fatalf("free node %d still references its event: %+v", i, *n)
 		}
 	}
 }
@@ -170,27 +237,6 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverged at %d: %d vs %d", i, a[i], b[i])
 		}
-	}
-}
-
-func TestTokenBucket(t *testing.T) {
-	tb := NewTokenBucket(100, 10) // 100 tokens/s, burst 10
-	if !tb.Take(0, 10) {
-		t.Fatal("full bucket refused burst")
-	}
-	if tb.Take(0, 1) {
-		t.Fatal("empty bucket granted a token")
-	}
-	// After 50ms, 5 tokens should have accumulated.
-	if !tb.Take(50*time.Millisecond, 5) {
-		t.Fatal("bucket did not refill at rate")
-	}
-	if tb.Take(50*time.Millisecond, 1) {
-		t.Fatal("bucket over-refilled")
-	}
-	// Refill never exceeds burst.
-	if got := tb.Tokens(10 * time.Second); got != 10 {
-		t.Fatalf("tokens after long idle = %v, want burst 10", got)
 	}
 }
 

@@ -88,27 +88,3 @@ func TestServerConservation(t *testing.T) {
 		}
 	}
 }
-
-// TestTokenBucketNeverNegative: the bucket can never grant more tokens
-// than rate*time+burst over any horizon.
-func TestTokenBucketNeverNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 100; trial++ {
-		rate := 1 + rng.Float64()*1000
-		burst := 1 + rng.Float64()*50
-		tb := NewTokenBucket(rate, burst)
-		granted := 0.0
-		now := Time(0)
-		for step := 0; step < 200; step++ {
-			now += time.Duration(rng.Intn(50)) * time.Millisecond
-			n := rng.Float64() * 5
-			if tb.Take(now, n) {
-				granted += n
-			}
-		}
-		budget := rate*now.Seconds() + burst
-		if granted > budget+1e-6 {
-			t.Fatalf("granted %.3f tokens, budget %.3f", granted, budget)
-		}
-	}
-}

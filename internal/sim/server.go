@@ -2,51 +2,6 @@ package sim
 
 import "time"
 
-// TokenBucket is a classic token-bucket rate limiter driven by the virtual
-// clock. Rate is in tokens per second; Burst is the bucket depth.
-type TokenBucket struct {
-	Rate   float64
-	Burst  float64
-	tokens float64
-	last   Time
-	primed bool
-}
-
-// NewTokenBucket returns a bucket that starts full.
-func NewTokenBucket(rate, burst float64) *TokenBucket {
-	return &TokenBucket{Rate: rate, Burst: burst, tokens: burst, primed: true}
-}
-
-func (tb *TokenBucket) refill(now Time) {
-	if !tb.primed {
-		tb.tokens = tb.Burst
-		tb.primed = true
-	} else if now > tb.last {
-		tb.tokens += tb.Rate * (now - tb.last).Seconds()
-		if tb.tokens > tb.Burst {
-			tb.tokens = tb.Burst
-		}
-	}
-	tb.last = now
-}
-
-// Take consumes n tokens if available at virtual time now and reports
-// whether it succeeded.
-func (tb *TokenBucket) Take(now Time, n float64) bool {
-	tb.refill(now)
-	if tb.tokens+1e-9 < n {
-		return false
-	}
-	tb.tokens -= n
-	return true
-}
-
-// Tokens returns the number of tokens available at virtual time now.
-func (tb *TokenBucket) Tokens(now Time) float64 {
-	tb.refill(now)
-	return tb.tokens
-}
-
 // ServerStats counts a Server's activity.
 type ServerStats struct {
 	Submitted uint64 // items offered to the server
@@ -72,7 +27,7 @@ const maxServerRate = float64(time.Second) // 1e9 items/s
 // deep saturated-OFA backlogs Scotch models (thousands of queued misses)
 // cost the same per served item as an empty queue.
 type Server[T any] struct {
-	eng     Proc
+	eng     *Engine
 	rate    float64
 	ivalNs  float64 // ideal service time in (possibly fractional) nanoseconds
 	fracNs  float64 // accumulated fractional nanoseconds not yet served
@@ -97,7 +52,7 @@ type Server[T any] struct {
 // queue holding up to queueCap items (excluding the one in service).
 // process is invoked when an item finishes service. rate must be positive;
 // rates above one item per nanosecond (the clock resolution) are clamped.
-func NewServer[T any](eng Proc, rate float64, queueCap int, process func(v T)) *Server[T] {
+func NewServer[T any](eng *Engine, rate float64, queueCap int, process func(v T)) *Server[T] {
 	if rate <= 0 {
 		panic("sim: non-positive server rate")
 	}

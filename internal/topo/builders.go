@@ -20,7 +20,7 @@ type Testbed struct {
 }
 
 // NewTestbed builds the single-switch testbed with the given profile.
-func NewTestbed(eng sim.Proc, prof device.Profile) *Testbed {
+func NewTestbed(eng *sim.Engine, prof device.Profile) *Testbed {
 	n := New(eng)
 	sw := n.AddSwitch("sut", prof)
 	link := device.LinkConfig{Delay: 50 * time.Microsecond}
@@ -91,7 +91,7 @@ func HostIP(leaf, i int) netaddr.IPv4 {
 }
 
 // NewLeafSpine builds the fabric.
-func NewLeafSpine(eng sim.Proc, cfg LeafSpineConfig) *LeafSpine {
+func NewLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
 	n := New(eng)
 	ls := &LeafSpine{
 		Net:       n,
@@ -138,7 +138,7 @@ type Linear struct {
 }
 
 // NewLinear builds the chain with the given per-switch profile.
-func NewLinear(eng sim.Proc, nsw int, prof device.Profile, linkDelay time.Duration) *Linear {
+func NewLinear(eng *sim.Engine, nsw int, prof device.Profile, linkDelay time.Duration) *Linear {
 	n := New(eng)
 	ln := &Linear{Net: n}
 	cfg := device.LinkConfig{Delay: linkDelay}

@@ -99,7 +99,7 @@ func FatTreeCapacity(k int) (switches, hosts int) {
 
 // NewFatTree builds the fabric. It panics on an odd or non-positive K, or
 // an oversized HostsPerEdge — a malformed fabric is a configuration bug.
-func NewFatTree(eng sim.Proc, cfg FatTreeConfig) *FatTree {
+func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	k := cfg.K
 	if k < 2 || k%2 != 0 {
 		panic(fmt.Sprintf("topo: fat-tree arity %d must be even and >= 2", k))

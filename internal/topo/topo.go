@@ -24,14 +24,8 @@ type edge struct {
 
 // Network is a simulated topology plus the indexes the controller needs.
 type Network struct {
-	// Eng is the network's default scheduling context: the engine (or
-	// lane) new nodes are placed on when no UseProc override is active.
-	Eng sim.Proc
-
-	// proc, when non-nil, overrides Eng for nodes created until the next
-	// UseProc call: sharded rigs point it at successive partition lanes
-	// while building each partition's devices.
-	proc sim.Proc
+	// Eng is the engine every node of the network runs on.
+	Eng *sim.Engine
 
 	switches map[uint64]*device.Switch
 	byName   map[string]*device.Switch
@@ -56,8 +50,8 @@ type Network struct {
 	hop1 map[netaddr.IPv4][]Hop
 }
 
-// New returns an empty network on the given engine (or lane).
-func New(eng sim.Proc) *Network {
+// New returns an empty network on the given engine.
+func New(eng *sim.Engine) *Network {
 	return &Network{
 		Eng:       eng,
 		switches:  make(map[uint64]*device.Switch),
@@ -71,27 +65,13 @@ func New(eng sim.Proc) *Network {
 	}
 }
 
-// UseProc directs subsequent AddSwitch/AddHost calls to place new nodes
-// on the given scheduling context; nil restores the network's default.
-// Partitioned (sharded-engine) topologies are built by switching the
-// active proc between partitions' lanes during construction.
-func (n *Network) UseProc(p sim.Proc) { n.proc = p }
-
-// cur returns the proc new nodes are currently placed on.
-func (n *Network) cur() sim.Proc {
-	if n.proc != nil {
-		return n.proc
-	}
-	return n.Eng
-}
-
 // AddSwitch creates a switch with an automatically assigned datapath id.
 func (n *Network) AddSwitch(name string, prof device.Profile) *device.Switch {
 	if _, ok := n.byName[name]; ok {
 		panic(fmt.Sprintf("topo: duplicate switch %q", name))
 	}
 	n.nextDPID++
-	sw := device.NewSwitch(n.cur(), name, n.nextDPID, prof)
+	sw := device.NewSwitch(n.Eng, name, n.nextDPID, prof)
 	sw.LocalIP = netaddr.MakeIPv4(192, 168, byte(n.nextDPID>>8), byte(n.nextDPID))
 	n.switches[sw.DPID] = sw
 	n.byName[name] = sw
@@ -102,7 +82,7 @@ func (n *Network) AddSwitch(name string, prof device.Profile) *device.Switch {
 // AddHost creates a host with an automatically assigned MAC address.
 func (n *Network) AddHost(name string, ip netaddr.IPv4) *device.Host {
 	n.nextMAC++
-	h := device.NewHost(n.cur(), name, ip, netaddr.MakeMAC(n.nextMAC))
+	h := device.NewHost(n.Eng, name, ip, netaddr.MakeMAC(n.nextMAC))
 	n.hosts[ip] = h
 	return h
 }

@@ -14,7 +14,7 @@ import (
 // response direction is a *new flow* to the network — the case that makes
 // bidirectional traffic interesting under control-plane overload.
 type Responder struct {
-	eng   sim.Proc
+	eng   *sim.Engine
 	host  *device.Host
 	cap   *capture.Capture
 	class string
@@ -31,7 +31,7 @@ type Responder struct {
 
 // AttachResponder hooks a responder into the host's receive path, chaining
 // any existing observer. Responses are registered with cap under class.
-func AttachResponder(eng sim.Proc, h *device.Host, cap *capture.Capture, class string) *Responder {
+func AttachResponder(eng *sim.Engine, h *device.Host, cap *capture.Capture, class string) *Responder {
 	r := &Responder{
 		eng: eng, host: h, cap: cap, class: class,
 		flows: make(map[netaddr.FlowKey]uint64),

@@ -46,7 +46,7 @@ type TenantSpec struct {
 // tenants cannot change it (the order-independence property pinned by
 // TestScenarioCompositionOrderIndependent).
 type Scenario struct {
-	Eng  sim.Proc
+	Eng  *sim.Engine
 	Seed int64
 	// Tick is the arrival-accumulator resolution (default 1ms).
 	Tick time.Duration
@@ -70,7 +70,7 @@ type tenantRun struct {
 }
 
 // NewScenario returns an empty scenario on the engine with the given seed.
-func NewScenario(eng sim.Proc, seed int64) *Scenario {
+func NewScenario(eng *sim.Engine, seed int64) *Scenario {
 	return &Scenario{Eng: eng, Seed: seed}
 }
 

@@ -283,7 +283,7 @@ type ReplayConfig struct {
 // generator), so flow identity follows the trace even when many trace
 // endpoints map onto one simulated host. Returns the number of scheduled
 // events. Events the resolver rejects (nil emitter) are skipped.
-func Replay(eng sim.Proc, events []TraceEvent, cfg ReplayConfig) int {
+func Replay(eng *sim.Engine, events []TraceEvent, cfg ReplayConfig) int {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1000
 	}

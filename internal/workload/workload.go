@@ -22,18 +22,18 @@ type Flow struct {
 
 // Emitter sends flows from a host, registering each with a capture.
 type Emitter struct {
-	Eng  sim.Proc
+	Eng  *sim.Engine
 	Host *device.Host
 	Cap  *capture.Capture // may be nil
 }
 
 // NewEmitter binds a host to a capture.
-func NewEmitter(eng sim.Proc, host *device.Host, cap *capture.Capture) *Emitter {
+func NewEmitter(eng *sim.Engine, host *device.Host, cap *capture.Capture) *Emitter {
 	return &Emitter{Eng: eng, Host: host, Cap: cap}
 }
 
 // emission is one flow's shared send state: every scheduled packet of the
-// flow references this single box (via DeferCall) instead of owning a
+// flow references this single box (via ScheduleCall) instead of owning a
 // closure, so starting an n-packet flow costs one allocation, not n+1.
 type emission struct {
 	e  *Emitter
@@ -71,7 +71,7 @@ func (e *Emitter) Start(f Flow) {
 		em.id = e.Cap.NewFlow(f.Key, f.Class, f.Packets).ID
 	}
 	for i := 0; i < f.Packets; i++ {
-		e.Eng.DeferCall(e.Eng, time.Duration(i)*f.Interval, emitOne, em, i)
+		e.Eng.ScheduleCall(time.Duration(i)*f.Interval, emitOne, em, i)
 	}
 }
 
@@ -150,13 +150,13 @@ func interval(rate float64) time.Duration {
 // from the engine's seeded RNG. Deterministic periodic generators phase-
 // lock with each other and with queue service; real traffic does not.
 type arrivals struct {
-	eng     sim.Proc
+	eng     *sim.Engine
 	rate    float64
 	fire    func()
 	stopped bool
 }
 
-func startArrivals(eng sim.Proc, rate float64, fire func()) *arrivals {
+func startArrivals(eng *sim.Engine, rate float64, fire func()) *arrivals {
 	a := &arrivals{eng: eng, rate: rate, fire: fire}
 	if rate > 0 {
 		a.arm()
@@ -185,7 +185,7 @@ type FlashCrowd struct {
 	Base, Peak                             float64
 	RampStart, PeakStart, PeakEnd, RampEnd sim.Time
 
-	eng    sim.Proc
+	eng    *sim.Engine
 	spawn  func()
 	acc    float64
 	last   sim.Time
@@ -193,7 +193,7 @@ type FlashCrowd struct {
 }
 
 // StartFlashCrowd begins driving spawn with the modulated arrival process.
-func StartFlashCrowd(eng sim.Proc, fc FlashCrowd, spawn func()) *FlashCrowd {
+func StartFlashCrowd(eng *sim.Engine, fc FlashCrowd, spawn func()) *FlashCrowd {
 	f := fc
 	f.eng = eng
 	f.spawn = spawn
@@ -252,7 +252,7 @@ func ParetoSize(u float64, alpha float64, minPkts, maxPkts int) int {
 // destination choice. It is the stand-in for the paper's trace-driven
 // experiment input.
 type TraceGen struct {
-	Eng     sim.Proc
+	Eng     *sim.Engine
 	Sources []*Emitter
 	Dsts    []netaddr.IPv4
 	Rate    float64 // aggregate new flows per second
