@@ -20,8 +20,12 @@ short:
 race:
 	$(GO) test -race ./...
 
+# Static gate: go vet, and every Go file outside dot-directories (the
+# benchmark's build cache) must be gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 # Documentation gate: every internal package needs a package comment, and
 # the scotch/cluster/devolve/elastic/fault packages need docs on every
@@ -35,9 +39,9 @@ linkcheck:
 	$(GO) run ./cmd/linkcheck
 
 # The chaos experiments (§5 reliability mechanisms under injected faults)
-# plus the elastic autoscaler cycle and the devolution invalidation run,
-# which exercise the same live-mutation paths from the control-loop and
-# policy-distribution sides.
+# plus the balancer-driven elastic pool cycle and the devolution
+# invalidation run, which exercise the same live-mutation paths from the
+# control-loop and policy-distribution sides.
 chaos:
 	$(GO) run ./cmd/scotchsim run chaos-vswitch chaos-partition chaos-churn elastic devolve-invalidate
 

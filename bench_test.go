@@ -151,5 +151,5 @@ func BenchmarkChaosPartition(b *testing.B) { benchExperiment(b, "chaos-partition
 func BenchmarkChaosChurn(b *testing.B) { benchExperiment(b, "chaos-churn") }
 
 // BenchmarkElastic regenerates the elastic-pool experiment: the
-// autoscaler grows the mesh under a ramping attack and drains it back.
+// joint balancer grows the mesh under a ramping attack and drains it back.
 func BenchmarkElastic(b *testing.B) { benchExperiment(b, "elastic") }

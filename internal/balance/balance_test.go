@@ -11,7 +11,8 @@ import (
 	"scotch/internal/telemetry"
 )
 
-// fakePool is a scripted elastic.Pool.
+// fakePool is a scripted elastic.Pool: instant resizes, optional growth
+// failure.
 type fakePool struct {
 	size    int
 	growErr error
@@ -167,12 +168,45 @@ func TestActuatorErrorRetriesWithoutCooldown(t *testing.T) {
 	pool := &fakePool{size: 1, growErr: errors.New("no standby")}
 	vs := &viewState{poolSize: 1, poolLoad: 200}
 	b := New(eng, testCfg(), vs.view, Actuators{Pool: pool}).Start()
+	defer b.Stop()
 	eng.RunUntil(450 * time.Millisecond)
-	b.Stop()
 	// Eligible from tick 2 (200ms): ticks at 200/300/400ms all retry
 	// because a failed grow must not start the cooldown.
 	if b.Stats.Errors != 3 || b.Stats.Grows != 0 {
 		t.Fatalf("stats = %+v, want 3 error retries", b.Stats)
+	}
+	// Capacity returns: the grow lands on the very next tick (500ms),
+	// because the failures kept the hysteresis streak intact rather than
+	// restarting it from zero.
+	pool.growErr = nil
+	eng.RunUntil(550 * time.Millisecond)
+	log := b.Log()
+	if last := log[len(log)-1]; pool.grows != 1 || !last.Applied || last.At != ms(500) {
+		t.Fatalf("grows=%d last=%+v, want one applied grow at 500ms", pool.grows, last)
+	}
+}
+
+func TestPoolCooldownSpacesGrows(t *testing.T) {
+	eng := sim.New(1)
+	pool := &fakePool{size: 1}
+	vs := &viewState{poolSize: 1, poolLoad: 500}
+	cfg := testCfg()
+	cfg.MaxPool = 10
+	// A cooldown longer than the PoolUpChecks streak, on the tick grid,
+	// so the cooldown and not the streak is what spaces the grows.
+	cfg.PoolCooldown = 300 * time.Millisecond
+	b := New(eng, cfg, vs.view, Actuators{Pool: pool}).Start()
+	eng.Every(50*time.Millisecond, func() { vs.poolSize = float64(pool.size) })
+	eng.RunUntil(2 * time.Second)
+	b.Stop()
+	log := b.Log()
+	if len(log) < 3 {
+		t.Fatalf("only %d grows under pegged load: %+v", len(log), log)
+	}
+	for i := 1; i < len(log); i++ {
+		if gap := log[i].At - log[i-1].At; gap != sim.Time(cfg.PoolCooldown) {
+			t.Fatalf("grows %d and %d are %v apart, want PoolCooldown %v", i-1, i, gap, cfg.PoolCooldown)
+		}
 	}
 }
 

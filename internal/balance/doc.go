@@ -1,6 +1,9 @@
 // Package balance is the joint-elasticity balancer: one deterministic,
 // sim-clock-driven control loop that jointly decides how the whole
-// Scotch control plane scales. Its only input is the observatory's
+// Scotch control plane scales. It is the only load-driven decision
+// loop in the repository; internal/elastic and internal/cluster supply
+// its actuators and signals and make no load-driven decisions of their
+// own. Its only input is the observatory's
 // consistent obs.ClusterView snapshot (DESIGN.md §12 — the balancer
 // never probes subsystems directly), and its outputs are three actuator
 // interfaces:

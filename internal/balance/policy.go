@@ -52,8 +52,7 @@ type Config struct {
 	// unit as the view's elastic "load" series). PoolUpChecks and
 	// PoolDownChecks are the consecutive-tick streaks required before
 	// acting; MinPool/MaxPool bound the size; PoolCooldown spaces pool
-	// resizes. These mirror elastic.Config so a joint balancer drops in
-	// for the standalone autoscaler without re-tuning.
+	// resizes.
 	PoolGrowLoad   float64
 	PoolDrainLoad  float64
 	PoolUpChecks   int
@@ -95,10 +94,13 @@ type Config struct {
 	Advise bool
 }
 
-// DefaultConfig returns calibrated defaults: the pool band mirrors
-// elastic.DefaultConfig, the migration band mirrors
-// cluster.DefaultConfig, and the replica band escalates at a burn rate
-// of 2 (the error budget burning twice as fast as it accrues).
+// DefaultConfig returns calibrated defaults: a 500ms tick; a pool band
+// of 150/30 overlay flows/s per member with a 1.5s cooldown, long enough
+// for a resize's effect to show up in the signal; migration when the
+// hottest replica is busier than 50 and twice the coolest, at most once
+// a second; and replica spawn at a burn rate of 2 (the error budget
+// burning twice as fast as it accrues). The elastic,
+// scenario-multitenant and cluster experiments run exactly these values.
 func DefaultConfig() Config {
 	return Config{
 		Interval:       500 * time.Millisecond,

@@ -71,7 +71,8 @@ func (t *reactiveApp) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.
 }
 
 // twoShardRig is two independent edge switches, each its own pod with a
-// client and a server, shared by two controller replicas.
+// client and a server, shared by two controller replicas. homes[i] is the
+// replica pod i ("pod-a", "pod-b") starts on.
 type twoShardRig struct {
 	eng     *sim.Engine
 	net     *topo.Network
@@ -84,9 +85,9 @@ type twoShardRig struct {
 	apps    [2]*reactiveApp
 }
 
-func newTwoShardRig(t *testing.T, cfg Config) *twoShardRig {
+func newTwoShardRig(t *testing.T, seed int64, homes [2]int) *twoShardRig {
 	t.Helper()
-	rg := &twoShardRig{eng: sim.New(1)}
+	rg := &twoShardRig{eng: sim.New(seed)}
 	rg.net = topo.New(rg.eng)
 	link := device.LinkConfig{Delay: 50 * time.Microsecond, RateBps: 1e9}
 	rg.cap = capture.New(rg.eng)
@@ -101,17 +102,18 @@ func newTwoShardRig(t *testing.T, cfg Config) *twoShardRig {
 		outPorts[i] = map[netaddr.IPv4]uint32{rg.servers[i].IP: srvPort}
 	}
 
-	rg.co = New(rg.eng, cfg)
+	rg.co = New(rg.eng)
 	for i := 0; i < 2; i++ {
 		c := controller.New(rg.eng, rg.net)
 		c.ConnectAll()
 		rg.r[i] = rg.co.AddReplica(c)
 	}
 	for i := 0; i < 2; i++ {
-		app := &reactiveApp{name: []string{"pod-a", "pod-b"}[i], c: rg.r[i].C, outPort: outPorts[i]}
-		rg.r[i].C.Register(app)
+		home := rg.r[homes[i]]
+		app := &reactiveApp{name: []string{"pod-a", "pod-b"}[i], c: home.C, outPort: outPorts[i]}
+		home.C.Register(app)
 		rg.apps[i] = app
-		rg.co.AddPod(app.name, app, rg.r[i], rg.sw[i].DPID)
+		rg.co.AddPod(app.name, app, home, rg.sw[i].DPID)
 	}
 	rg.co.Start()
 	rg.eng.RunUntil(50 * time.Millisecond) // let the role claims settle
@@ -129,7 +131,7 @@ func (rg *twoShardRig) sendFlow(shard int, srcPort uint16) {
 }
 
 func TestShardedPuntRouting(t *testing.T) {
-	rg := newTwoShardRig(t, DefaultConfig())
+	rg := newTwoShardRig(t, 1, [2]int{0, 1})
 	if got := rg.r[0].C.Switch(rg.sw[0].DPID).Role(); got != openflow.RoleMaster {
 		t.Fatalf("replica 0 role on own shard = %s", openflow.RoleName(got))
 	}
@@ -162,7 +164,7 @@ func TestShardedPuntRouting(t *testing.T) {
 }
 
 func TestCooperativeMigrationMovesMastershipAndState(t *testing.T) {
-	rg := newTwoShardRig(t, DefaultConfig())
+	rg := newTwoShardRig(t, 1, [2]int{0, 1})
 	rg.sendFlow(0, 3000)
 	rg.eng.RunUntil(200 * time.Millisecond)
 	if rg.r[0].C.FlowDB.Len() != 1 {
@@ -211,8 +213,7 @@ func TestCooperativeMigrationMovesMastershipAndState(t *testing.T) {
 }
 
 func TestFailoverReassignsPodsAfterDetectionWindow(t *testing.T) {
-	cfg := DefaultConfig()
-	rg := newTwoShardRig(t, cfg)
+	rg := newTwoShardRig(t, 1, [2]int{0, 1})
 
 	killAt := 1050 * time.Millisecond
 	rg.eng.Schedule(killAt-rg.eng.Now(), func() { rg.r[0].Kill() })
@@ -229,9 +230,9 @@ func TestFailoverReassignsPodsAfterDetectionWindow(t *testing.T) {
 			rg.co.Stats.Failovers, rg.co.Stats.ReplicasLost)
 	}
 	detect := rg.co.Stats.DetectedAt - sim.Time(killAt)
-	window := time.Duration(cfg.HeartbeatMisses) * cfg.HeartbeatInterval
-	if detect <= 0 || detect > window+cfg.HeartbeatInterval {
-		t.Fatalf("detection latency = %v, want within (0, %v]", detect, window+cfg.HeartbeatInterval)
+	window := time.Duration(heartbeatMisses) * heartbeatInterval
+	if detect <= 0 || detect > window+heartbeatInterval {
+		t.Fatalf("detection latency = %v, want within (0, %v]", detect, window+heartbeatInterval)
 	}
 
 	// The surviving replica serves the failed shard's new flows.
@@ -245,54 +246,55 @@ func TestFailoverReassignsPodsAfterDetectionWindow(t *testing.T) {
 	}
 }
 
-func TestBalancerMigratesHotPod(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MinLoad = 50
-	rg := &twoShardRig{eng: sim.New(7)}
-	rg.net = topo.New(rg.eng)
-	link := device.LinkConfig{Delay: 50 * time.Microsecond, RateBps: 1e9}
-	rg.cap = capture.New(rg.eng)
-	outPorts := [2]map[netaddr.IPv4]uint32{}
-	for i := 0; i < 2; i++ {
-		rg.sw[i] = rg.net.AddSwitch([]string{"e0", "e1"}[i], device.Pica8Profile())
-		rg.clients[i] = rg.net.AddHost([]string{"c0", "c1"}[i], netaddr.MakeIPv4(10, byte(i), 0, 10))
-		rg.net.AttachHost(rg.clients[i], rg.sw[i], link)
-		rg.servers[i] = rg.net.AddHost([]string{"s0", "s1"}[i], netaddr.MakeIPv4(10, byte(i), 1, 10))
-		srvPort := rg.net.AttachHost(rg.servers[i], rg.sw[i], link)
-		rg.cap.Attach(rg.servers[i])
-		outPorts[i] = map[netaddr.IPv4]uint32{rg.servers[i].IP: srvPort}
-	}
-	rg.co = New(rg.eng, cfg)
-	for i := 0; i < 2; i++ {
-		c := controller.New(rg.eng, rg.net)
-		c.ConnectAll()
-		rg.r[i] = rg.co.AddReplica(c)
-	}
+func TestMigratePod(t *testing.T) {
 	// Both pods start on replica 0; replica 1 is an idle spare.
-	for i := 0; i < 2; i++ {
-		app := &reactiveApp{name: []string{"pod-a", "pod-b"}[i], c: rg.r[0].C, outPort: outPorts[i]}
-		rg.r[0].C.Register(app)
-		rg.apps[i] = app
-		rg.co.AddPod(app.name, app, rg.r[0], rg.sw[i].DPID)
+	rg := newTwoShardRig(t, 7, [2]int{0, 0})
+	for _, ids := range [][2]int{{0, 0}, {0, 2}, {-1, 1}} {
+		if pod, ok := rg.co.MigratePod(ids[0], ids[1]); ok {
+			t.Fatalf("MigratePod(%d, %d) = %q, want refusal", ids[0], ids[1], pod)
+		}
 	}
-	rg.co.Start()
-	rg.eng.RunUntil(50 * time.Millisecond)
 
 	// Pod A runs hot (every spoofed flow punts once); pod B stays light.
 	atk := workload.StartDDoS(workload.NewEmitter(rg.eng, rg.clients[0], rg.cap), rg.servers[0].IP, 300)
 	cli := workload.StartClient(workload.NewEmitter(rg.eng, rg.clients[1], rg.cap), rg.servers[1].IP, 20, 1, 0)
-	rg.eng.RunUntil(5 * time.Second)
-	atk.Stop()
-	cli.Stop()
+	defer atk.Stop()
+	defer cli.Stop()
+	rg.eng.RunUntil(time.Second)
 
-	if rg.co.Stats.Migrations == 0 {
-		t.Fatal("balancer never migrated under sustained imbalance")
+	pod, ok := rg.co.MigratePod(0, 1)
+	if !ok || pod != "pod-a" {
+		t.Fatalf("MigratePod(0, 1) = %q, %v, want the hot pod-a", pod, ok)
 	}
 	if got := rg.co.Owner("pod-a"); got != rg.r[1].ID {
 		t.Fatalf("hot pod owner = %d, want the idle replica", got)
 	}
 	if got := rg.co.Owner("pod-b"); got != rg.r[0].ID {
 		t.Fatalf("light pod owner = %d, want to stay put", got)
+	}
+
+	// Replica 1 is now the hot one, but its only pod is the hotspot:
+	// moving it back would relocate the hotspot, not narrow the spread.
+	rg.eng.RunUntil(3 * time.Second)
+	if pod, ok := rg.co.MigratePod(1, 0); ok {
+		t.Fatalf("MigratePod(1, 0) moved %q without narrowing the spread", pod)
+	}
+	if pod, ok := rg.co.MigratePod(0, 1); ok {
+		t.Fatalf("MigratePod(0, 1) moved %q from the cooler replica", pod)
+	}
+
+	rg.r[1].Kill()
+	rg.eng.RunUntil(4 * time.Second)
+	if rg.r[1].Alive() {
+		t.Fatal("killed replica still considered alive")
+	}
+	for _, ids := range [][2]int{{0, 1}, {1, 0}} {
+		if pod, ok := rg.co.MigratePod(ids[0], ids[1]); ok {
+			t.Fatalf("MigratePod(%d, %d) = %q with replica 1 dead", ids[0], ids[1], pod)
+		}
+	}
+	if rg.co.Stats.Migrations != 1 {
+		t.Fatalf("Migrations = %d, want only the one MigratePod move", rg.co.Stats.Migrations)
 	}
 }
 
@@ -307,7 +309,7 @@ type pusherApp struct {
 func (p *pusherApp) RepublishPolicy() { p.republished++ }
 
 func TestMigrationRepublishesDevolvedPolicy(t *testing.T) {
-	rg := newTwoShardRig(t, DefaultConfig())
+	rg := newTwoShardRig(t, 1, [2]int{0, 1})
 	app := &pusherApp{reactiveApp: *rg.apps[0]}
 	// Swap the pod's app for the policy-pushing variant.
 	rg.co.byName["pod-a"].App = app

@@ -7,12 +7,27 @@ import (
 	"scotch/internal/sim"
 )
 
+// Pool is the resizable resource the balancer's pool rungs actuate. The
+// Scotch adapter is VSwitchPool; tests substitute fakes.
+type Pool interface {
+	// Size returns the number of members currently taking new
+	// assignments (draining members do not count).
+	Size() int
+	// Grow adds one member. An error means no growth happened (for
+	// example, no standby capacity); the caller keeps its current size
+	// and may retry later.
+	Grow() error
+	// Shrink begins gracefully removing one member. An error means no
+	// shrink started.
+	Shrink() error
+}
+
 // VSwitchPool adapts a running scotch.App to the Pool interface. Grow
 // promotes the next standby vSwitch into the mesh live; Shrink drains
 // the most recently grown member (LIFO, so the build-time floor is
-// never drained by the autoscaler). A drained member returns to the
-// back of the standby list and may be grown again later — the overlay
-// allocates fresh tunnel ports on re-add, so recycling is safe.
+// never drained). A drained member returns to the back of the standby
+// list and may be grown again later — the overlay allocates fresh
+// tunnel ports on re-add, so recycling is safe.
 type VSwitchPool struct {
 	app     *scotch.App
 	standby []uint64
@@ -22,7 +37,7 @@ type VSwitchPool struct {
 // NewVSwitchPool builds a pool over app with the given standby vSwitch
 // DPIDs. The standbys must exist in the topology and be connected to
 // the controller, but not be mesh members; they join only when the
-// autoscaler grows the pool.
+// pool grows.
 func NewVSwitchPool(app *scotch.App, standby []uint64) *VSwitchPool {
 	return &VSwitchPool{app: app, standby: append([]uint64(nil), standby...)}
 }
@@ -71,13 +86,14 @@ func (p *VSwitchPool) Shrink() error {
 	return errors.New("elastic: no grown member can drain")
 }
 
-// OverlayRate returns a LoadFunc measuring the overlay-routed flow rate
-// per pool member: the increase in app.Stats.OverlayRouted since the
-// previous sample, per second, divided by the pool size. This is the
-// signal the elastic experiment scales on — it is exactly the work the
+// OverlayRate returns a load signal measuring the overlay-routed flow
+// rate per pool member: the increase in app.Stats.OverlayRouted since
+// the previous call, per second, divided by the pool size. This is the
+// signal the balancer's pool rungs scale on — it is exactly the work the
 // mesh absorbs for the control plane, so it rises with the attack and
-// falls when the attack stops or capacity is added.
-func OverlayRate(eng *sim.Engine, app *scotch.App, pool Pool) LoadFunc {
+// falls when the attack stops or capacity is added. Each call starts a
+// new window, so the signal must be sampled by exactly one caller.
+func OverlayRate(eng *sim.Engine, app *scotch.App, pool Pool) func() float64 {
 	var prevCount uint64
 	var prevAt sim.Time
 	return func() float64 {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"scotch/internal/balance"
-	"scotch/internal/cluster"
 	"scotch/internal/controller"
 	"scotch/internal/elastic"
 	"scotch/internal/obs"
@@ -99,6 +98,19 @@ func newRunAdvisor(eng *sim.Engine, o *obs.Observatory) {
 	})
 }
 
+// startRigBalancer starts the joint balancer with the default policy
+// over o, which must not be started: each tick samples o once and
+// decides on that sample. One ticker thus both samples and decides, and
+// a load signal such as elastic.OverlayRate measures over the balancer's
+// own interval.
+func startRigBalancer(eng *sim.Engine, o *obs.Observatory, act balance.Actuators) *balance.Balancer {
+	view := func() *obs.ClusterView {
+		o.Sample()
+		return o.Snapshot()
+	}
+	return balance.New(eng, balance.DefaultConfig(), view, act).Start()
+}
+
 // WriteDecisions prints a balancer's decision log in a compact,
 // deterministic form: one line per decision with its simulation
 // timestamp, action, applied/held status, and operator-facing reason.
@@ -155,9 +167,9 @@ type elasticUnderMigrationResult struct {
 // (2 mesh members + 3 standbys). A steady 600 flows/s crowd loads pod 1
 // and a ramping 0->1200 flows/s crowd hits pod 0, so two independent
 // pressures build: the pod-0 overlay saturates (pool must grow) and
-// replica 0 carries everything (a pod must migrate). The joint balancer
-// is the only controller of both: the coordinator's internal balance
-// loop is off (BalanceInterval 0) and no standalone autoscaler runs.
+// replica 0 carries everything (a pod must migrate). One joint balancer,
+// wired here with experiment-specific bands in place of the rig's
+// default one, controls both.
 // Replica capacity is infinite, so any client-flow loss would be
 // attributable to the growth/drain/migration machinery itself — the
 // experiment asserts there is none.
@@ -171,16 +183,14 @@ func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
 	// flows/s — the surge is control-plane pressure on the pool, not on
 	// the physical install path.
 	scfg.InstallRate = 200
-	ccfg := cluster.DefaultConfig()
-	ccfg.BalanceInterval = 0 // the joint balancer owns migration
 	r := newClusterRig(clusterRigConfig{
-		seed:     seed,
-		pods:     2,
-		replicas: 2,
-		scfg:     scfg,
-		ccfg:     ccfg,
-		homes:    []int{0, 0},
-		standby:  3,
+		seed:        seed,
+		pods:        2,
+		replicas:    2,
+		scfg:        scfg,
+		homes:       []int{0, 0},
+		standby:     3,
+		ownBalancer: true,
 	})
 
 	// The balancer's only input is a ClusterView, so the experiment owns
@@ -193,8 +203,7 @@ func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
 		standby = append(standby, sb.DPID)
 	}
 	pool := elastic.NewVSwitchPool(r.pods[0].app, standby)
-	o.WatchPool(pool, nil)
-	o.Series("elastic", "load", elastic.OverlayRate(r.eng, r.pods[0].app, pool))
+	o.WatchPool(pool, elastic.OverlayRate(r.eng, r.pods[0].app, pool))
 	o.Start()
 
 	bcfg := balance.DefaultConfig()
@@ -329,17 +338,15 @@ func replicaScaleOutPoint(seed int64) replicaScaleOutResult {
 		capacity = 450
 		queue    = 256
 	)
-	ccfg := cluster.DefaultConfig()
-	ccfg.BalanceInterval = 0 // the joint balancer owns migration
 	r := newClusterRig(clusterRigConfig{
-		seed:     seed,
-		pods:     6,
-		replicas: 2,
-		capacity: capacity,
-		queue:    queue,
-		scfg:     scotch.DefaultConfig(),
-		ccfg:     ccfg,
-		homes:    []int{0, 1, 0, 1, 0, 1},
+		seed:        seed,
+		pods:        6,
+		replicas:    2,
+		capacity:    capacity,
+		queue:       queue,
+		scfg:        scotch.DefaultConfig(),
+		homes:       []int{0, 1, 0, 1, 0, 1},
+		ownBalancer: true,
 	})
 
 	// Experiment-owned observatory: replica loads/liveness for the

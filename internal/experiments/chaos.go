@@ -170,7 +170,6 @@ func chaosPartitionPoint(seed int64) chaosPartitionResult {
 		capacity: 800,
 		queue:    512,
 		scfg:     scotch.DefaultConfig(),
-		ccfg:     cluster.DefaultConfig(),
 	})
 	env := &chaosEnv{replicas: map[string]*cluster.Replica{"replica0": r.replicas[0]}}
 	fr := fault.NewRunner(r.eng, env, r.replicas[0].C.Tracer())

@@ -5,11 +5,13 @@ import (
 	"io"
 	"time"
 
+	"scotch/internal/balance"
 	"scotch/internal/capture"
 	"scotch/internal/cluster"
 	"scotch/internal/controller"
 	"scotch/internal/device"
 	"scotch/internal/netaddr"
+	"scotch/internal/obs"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
 	"scotch/internal/topo"
@@ -67,9 +69,11 @@ type clusterRigConfig struct {
 	capacity float64 // per-replica Packet-In processing rate (0 = infinite)
 	queue    int
 	scfg     scotch.Config
-	ccfg     cluster.Config
 	homes    []int // pod -> initial replica index; nil = round robin
 	standby  int   // standby vSwitches on pod 0 (elastic growth headroom)
+	// ownBalancer means the experiment wires its own joint balancer, so
+	// the rig starts none.
+	ownBalancer bool
 }
 
 func newClusterRig(cc clusterRigConfig) *clusterRig {
@@ -101,7 +105,7 @@ func newClusterRig(cc clusterRigConfig) *clusterRig {
 		r.pods = append(r.pods, pod)
 	}
 
-	r.co = cluster.New(eng, cc.ccfg)
+	r.co = cluster.New(eng)
 	for i := 0; i < cc.replicas; i++ {
 		c := controller.New(eng, r.net)
 		if cc.capacity > 0 {
@@ -137,6 +141,13 @@ func newClusterRig(cc clusterRigConfig) *clusterRig {
 		r.co.AddPod(pod.name, pod.app, home, dpids...)
 	}
 	r.co.Start()
+	// Load-driven migration is the joint balancer's job: replica loads
+	// in, MigratePod out.
+	if !cc.ownBalancer {
+		o := obs.New(eng, obs.Config{})
+		o.WatchCoordinator(r.co)
+		startRigBalancer(eng, o, balance.Actuators{Migrator: r.co})
+	}
 	if tr := newRunTracer(); tr != nil {
 		r.co.Trace = tr
 		for _, rep := range r.replicas {
@@ -186,7 +197,6 @@ func clusterScalePoint(replicas int, seed int64) (offered, delivered int, succes
 		capacity: 500,
 		queue:    256,
 		scfg:     scotch.DefaultConfig(),
-		ccfg:     cluster.DefaultConfig(),
 	})
 	var crowds []*workload.FlashCrowd
 	for p := range r.pods {
@@ -232,13 +242,12 @@ type clusterMigrateResult struct {
 
 // clusterMigratePoint starts both pods on replica 0 with replica 1 as an
 // idle spare, runs steady multi-packet client flows on both, and surges
-// pod 0 with a crowd. The coordinator's balancer must hand pod 0 to the
+// pod 0 with a crowd. The rig's joint balancer must hand pod 0 to the
 // spare mid-surge; client flows (4 packets each) must all survive the
 // handoff — packets in flight during the mastership change re-punt to the
 // new master and are re-admitted.
 func clusterMigratePoint(seed int64) clusterMigrateResult {
 	const dur = 8 * time.Second
-	ccfg := cluster.DefaultConfig()
 	r := newClusterRig(clusterRigConfig{
 		seed:     seed,
 		pods:     2,
@@ -246,7 +255,6 @@ func clusterMigratePoint(seed int64) clusterMigrateResult {
 		capacity: 800,
 		queue:    512,
 		scfg:     scotch.DefaultConfig(),
-		ccfg:     ccfg,
 		homes:    []int{0, 0},
 	})
 	res := clusterMigrateResult{ownerBefore: r.co.Owner("pod0"), ownerAfter: -1}
@@ -304,7 +312,6 @@ type clusterFailoverResult struct {
 func clusterFailoverPoint(seed int64) clusterFailoverResult {
 	const dur = 8 * time.Second
 	killAt := 5050 * time.Millisecond
-	ccfg := cluster.DefaultConfig()
 	r := newClusterRig(clusterRigConfig{
 		seed:     seed,
 		pods:     2,
@@ -312,7 +319,6 @@ func clusterFailoverPoint(seed int64) clusterFailoverResult {
 		capacity: 800,
 		queue:    512,
 		scfg:     scotch.DefaultConfig(),
-		ccfg:     ccfg,
 	})
 	cli0 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[0].client, r.cap), r.pods[0].server.IP, 50, 8, 50*time.Millisecond)
 	cli1 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[1].client, r.cap), r.pods[1].server.IP, 50, 8, 50*time.Millisecond)

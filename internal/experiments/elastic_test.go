@@ -7,7 +7,7 @@ import (
 )
 
 // TestElasticGrowsAndDrains is the acceptance test for the elastic
-// control loop: under the ramping attack the autoscaler must grow the
+// control loop: under the ramping attack the joint balancer must grow the
 // one-primary mesh into the standby pool, and after the attack subsides
 // it must drain every grown member back out, completing each drain —
 // with zero loss among the client flows started inside the drain window
@@ -22,7 +22,7 @@ func TestElasticGrowsAndDrains(t *testing.T) {
 		t.Fatalf("pool did not drain back to the floor (final=%d)", res.final)
 	}
 	if res.ups == 0 || res.downs == 0 {
-		t.Fatalf("autoscaler idle: ups=%d downs=%d", res.ups, res.downs)
+		t.Fatalf("balancer idle: ups=%d downs=%d", res.ups, res.downs)
 	}
 	if res.added != res.ups {
 		t.Fatalf("grow decisions (%d) and live adds (%d) disagree", res.ups, res.added)
@@ -41,7 +41,7 @@ func TestElasticGrowsAndDrains(t *testing.T) {
 }
 
 // TestElasticDeterministic locks the elastic experiment's byte output
-// across repeat runs and across the parallel runner: autoscaler
+// across repeat runs and across the parallel runner: balancer
 // decisions ride the sim clock only.
 func TestElasticDeterministic(t *testing.T) {
 	// Pair the elastic run with another experiment so parallelism is real.

@@ -39,7 +39,7 @@ type rigConfig struct {
 	nBackup  int
 	// nStandby provisions extra vSwitches that are linked and connected
 	// to the controller but left out of the mesh: spare capacity for the
-	// elastic autoscaler to grow into.
+	// balancer-driven elastic pool to grow into.
 	nStandby  int
 	noOverlay bool // run the plain reactive baseline instead of Scotch
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // TestMultitenantIsolation pins the experiment's headline claim: with the
-// overlay and autoscaler active, adding a 1500 flows/s spoofed-source DDoS
+// overlay and pool balancer active, adding a 1500 flows/s spoofed-source DDoS
 // tenant moves the baseline tenant's p99 flow-setup latency by less than
 // 2x relative to the same mix without the attacker.
 func TestMultitenantIsolation(t *testing.T) {
@@ -20,7 +20,7 @@ func TestMultitenantIsolation(t *testing.T) {
 		t.Errorf("ddos tenant moved baseline p99 by %.2fx, bound is < 2x", res.p99Ratio)
 	}
 	if res.peakPool < 2 {
-		t.Errorf("autoscaler never grew the pool under attack (peak %d)", res.peakPool)
+		t.Errorf("balancer never grew the pool under attack (peak %d)", res.peakPool)
 	}
 	// Every tenant of the attacked run produced flows and latencies.
 	want := map[string]bool{"base": false, "crowd": false, "ddos": false}

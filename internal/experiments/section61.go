@@ -95,7 +95,7 @@ func runFig10(w io.Writer) error {
 			// Pre-install the forwarding rule for the measured flow.
 			pre := &openflow.FlowMod{
 				Command: openflow.FlowAdd, Priority: 900,
-				Match: openflow.Match{Fields: openflow.FieldIPv4Dst, IPv4Dst: dst.IP},
+				Match:        openflow.Match{Fields: openflow.FieldIPv4Dst, IPv4Dst: dst.IP},
 				Instructions: openflow.Apply1(openflow.OutputAction(dstPort)),
 			}
 			b, err := openflow.Marshal(pre, 1)

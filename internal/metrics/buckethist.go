@@ -28,7 +28,8 @@ func LatencyBuckets() []float64 {
 // pay two atomic adds, readers estimate quantiles from the bucket counts
 // without ever locking writers out. Unlike Histogram it never stores raw
 // samples, so a million-flow scenario costs a fixed few hundred bytes per
-// tenant regardless of flow count.
+// tenant regardless of flow count. It is also the histogram handle
+// telemetry.Registry returns and scrapes.
 //
 // Bounds are upper bucket edges in ascending order; a sample lands in the
 // first bucket whose bound is >= the value, or in the implicit overflow
@@ -60,8 +61,12 @@ func NewBucketHistogram(bounds []float64) *BucketHistogram {
 	return &BucketHistogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
-// Observe records one sample.
+// Observe records one sample. Nil-safe: a nil histogram (the handle a
+// disabled telemetry registry returns) records nothing.
 func (h *BucketHistogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.total.Add(1)
@@ -77,11 +82,20 @@ func (h *BucketHistogram) Observe(v float64) {
 // ObserveDuration records a duration sample in seconds.
 func (h *BucketHistogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of samples, including overflowed ones.
-func (h *BucketHistogram) Count() uint64 { return h.total.Load() }
+// Count returns the number of samples, including overflowed ones (0 for
+// nil).
+func (h *BucketHistogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.total.Load()
+}
 
-// Sum returns the sum of all observed values.
+// Sum returns the sum of all observed values (0 for nil).
 func (h *BucketHistogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
 	return math.Float64frombits(h.sumBits.Load())
 }
 

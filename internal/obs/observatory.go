@@ -6,15 +6,15 @@
 // backlogs (internal/scotch), per-vSwitch queue depth and rule counts
 // (internal/device), per-replica Packet-In/FlowMod rates
 // (internal/cluster), devolve hit/escalation totals (internal/devolve),
-// autoscaler pool size (internal/elastic), and per-tenant flow-setup
+// elastic pool size and load (internal/elastic), and per-tenant flow-setup
 // latency distributions (internal/workload) — into fixed-size ring-buffer
 // time series keyed to the simulation clock, and evaluates declarative
 // latency SLOs with multi-window error-budget burn rates.
 //
 // Three consumers read it:
 //
-//   - Snapshot() returns one consistent ClusterView — the input the
-//     joint-elasticity controller (ROADMAP item 3) will consume.
+//   - Snapshot() returns one consistent ClusterView — the only input of
+//     the joint-elasticity balancer (internal/balance).
 //   - Handler() serves the view live as /statusz (JSON + HTML) next to
 //     /metrics, with optional pprof capture on SLO-breach transitions.
 //   - Digest() renders a deterministic end-of-run health digest:
@@ -241,21 +241,18 @@ func (o *Observatory) WatchCoordinator(co *cluster.Coordinator) {
 	o.Series("cluster", "failovers_total", func() float64 { return float64(co.Stats.Failovers) })
 }
 
-// WatchPool registers the elastic pool size and, when an autoscaler is
-// given, its last observed load signal and resize decision counts.
-// Nil-safe (pool may be nil, as may the autoscaler).
-func (o *Observatory) WatchPool(pool elastic.Pool, as *elastic.Autoscaler) {
+// WatchPool registers the elastic pool's size ("pool_size") and its
+// load signal ("load", typically elastic.OverlayRate) under component
+// "elastic", the names the joint balancer reads. The load probe is
+// called once per sample. Nil-safe (pool and load may each be nil).
+func (o *Observatory) WatchPool(pool elastic.Pool, load func() float64) {
 	if o == nil {
 		return
 	}
 	if pool != nil {
 		o.Series("elastic", "pool_size", func() float64 { return float64(pool.Size()) })
 	}
-	if as != nil {
-		o.Series("elastic", "load", func() float64 { return as.LastLoad() })
-		o.Series("elastic", "grows_total", func() float64 { return float64(as.Stats.Ups) })
-		o.Series("elastic", "shrinks_total", func() float64 { return float64(as.Stats.Downs) })
-	}
+	o.Series("elastic", "load", load)
 }
 
 // WatchDevolve registers devolution cache totals: local hits and

@@ -8,7 +8,7 @@ import (
 // deployment: every sampled component series (summarized over the
 // retained window), per-tenant latency quantiles, and the current SLO
 // burn state. It is the observatory's API surface for controllers — the
-// joint-elasticity load balancer of ROADMAP item 3 consumes exactly this
+// joint-elasticity balancer (internal/balance) consumes exactly this
 // struct — and the payload /statusz serves. All fields are plain data:
 // a view never aliases live observatory state.
 type ClusterView struct {

@@ -106,7 +106,7 @@ type PacketIn struct {
 const matchSizeUB = 96
 
 // Type implements Message.
-func (*PacketIn) Type() MsgType { return TypePacketIn }
+func (*PacketIn) Type() MsgType          { return TypePacketIn }
 func (m *PacketIn) marshalSizeHint() int { return 18 + matchSizeUB + len(m.Data) }
 func (m *PacketIn) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, m.BufferID)
@@ -148,7 +148,7 @@ type PacketOut struct {
 }
 
 // Type implements Message.
-func (*PacketOut) Type() MsgType { return TypePacketOut }
+func (*PacketOut) Type() MsgType          { return TypePacketOut }
 func (m *PacketOut) marshalSizeHint() int { return 16 + 16*len(m.Actions) + len(m.Data) }
 func (m *PacketOut) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, m.BufferID)
@@ -214,7 +214,7 @@ type FlowMod struct {
 }
 
 // Type implements Message.
-func (*FlowMod) Type() MsgType { return TypeFlowMod }
+func (*FlowMod) Type() MsgType          { return TypeFlowMod }
 func (m *FlowMod) marshalSizeHint() int { return 40 + matchSizeUB + 32*len(m.Instructions) + 64 }
 func (m *FlowMod) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, m.Cookie)
@@ -482,7 +482,7 @@ type MultipartReply struct {
 }
 
 // Type implements Message.
-func (*MultipartReply) Type() MsgType { return TypeMultipartReply }
+func (*MultipartReply) Type() MsgType          { return TypeMultipartReply }
 func (m *MultipartReply) marshalSizeHint() int { return 8 + len(m.Flows)*(48+matchSizeUB) }
 func (m *MultipartReply) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint16(b, m.MPType)

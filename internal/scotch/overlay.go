@@ -688,7 +688,7 @@ func (o *Overlay) buildChainEntry(vs uint64) {
 		mb.inPort[vs] = vp
 		suHandle.InstallFlow(&openflow.FlowMod{
 			Command: openflow.FlowAdd, TableID: 0, Priority: prioGreenChain,
-			Match: openflow.Match{Fields: openflow.FieldTunnelID, TunnelID: id},
+			Match:        openflow.Match{Fields: openflow.FieldTunnelID, TunnelID: id},
 			Instructions: openflow.Apply1(openflow.OutputAction(mb.SUOut)),
 		})
 	}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"scotch/internal/metrics"
 )
 
 // Registry is a goroutine-safe collection of named metrics, scraped in
@@ -19,18 +21,19 @@ import (
 // spelling remains a readable alias for real label pairs (see
 // FormatSeries/ParseSeries).
 //
-// Instrument handles (Counter, Gauge, Histogram) are resolved once at wiring
-// time and then updated lock-free with atomics, so instrumented hot paths
-// never contend on the registry map. All lookup methods are nil-receiver
-// safe and return nil handles, whose update methods are in turn nil-safe:
-// code instruments unconditionally and a disabled registry costs one branch.
+// Instrument handles (Counter, Gauge, metrics.BucketHistogram) are
+// resolved once at wiring time and then updated lock-free with atomics,
+// so instrumented hot paths never contend on the registry map. All
+// lookup methods are nil-receiver safe and return nil handles, whose
+// update methods are in turn nil-safe: code instruments unconditionally
+// and a disabled registry costs one branch.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
 	counterFns map[string]func() uint64
 	gauges     map[string]*Gauge
 	gaugeFns   map[string]func() float64
-	hists      map[string]*Histogram
+	hists      map[string]*metrics.BucketHistogram
 }
 
 // NewRegistry returns an empty registry.
@@ -40,7 +43,7 @@ func NewRegistry() *Registry {
 		counterFns: make(map[string]func() uint64),
 		gauges:     make(map[string]*Gauge),
 		gaugeFns:   make(map[string]func() float64),
-		hists:      make(map[string]*Histogram),
+		hists:      make(map[string]*metrics.BucketHistogram),
 	}
 }
 
@@ -130,54 +133,6 @@ var DefBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1, 5,
 }
 
-// Histogram is a fixed-bucket cumulative histogram with atomic counters.
-type Histogram struct {
-	bounds  []float64
-	buckets []atomic.Uint64 // one per bound, plus +Inf at the end
-	count   atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	return &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-// Observe records one sample. Nil-safe.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of samples (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of samples (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
 // Counter returns (creating if needed) the counter with the given series
 // name. Nil-safe: a nil registry returns a nil (no-op) handle. The key is
 // canonicalized (labels sorted, values escaped), so older label-in-name
@@ -241,7 +196,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 
 // Histogram returns (creating if needed) a histogram with the given bounds
 // (DefBuckets when bounds is nil). Bounds are fixed at first creation.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+func (r *Registry) Histogram(name string, bounds []float64) *metrics.BucketHistogram {
 	if r == nil {
 		return nil
 	}
@@ -250,7 +205,10 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = newHistogram(bounds)
+		if len(bounds) == 0 {
+			bounds = DefBuckets
+		}
+		h = metrics.NewBucketHistogram(bounds)
 		r.hists[name] = h
 	}
 	return h
@@ -317,14 +275,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		h := h
 		all = append(all, series{name, "histogram", func(w io.Writer, n string) error {
 			fam, lbl := family(n), labelsOf(n)
+			bounds, counts := h.Bounds(), h.Counts()
 			var cum uint64
-			for i, b := range h.bounds {
-				cum += h.buckets[i].Load()
+			for i, b := range bounds {
+				cum += counts[i]
 				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", fam, mergeLabels(lbl, fmt.Sprintf("le=%q", fmtFloat(b))), cum); err != nil {
 					return err
 				}
 			}
-			cum += h.buckets[len(h.bounds)].Load()
+			cum += counts[len(bounds)]
 			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", fam, mergeLabels(lbl, `le="+Inf"`), cum); err != nil {
 				return err
 			}
