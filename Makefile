@@ -52,7 +52,7 @@ trace-chaos:
 
 # Micro + macro benchmarks with allocation counts.
 bench:
-	$(GO) test -run xxx -bench 'ScheduleFire|LookupHit|LookupMiss' -benchmem ./internal/sim/ ./internal/flowtable/
+	$(GO) test -run xxx -bench 'ScheduleFire|LookupHit|LookupMiss|SwitchPath' -benchmem ./internal/sim/ ./internal/flowtable/ ./internal/topo/
 	$(GO) test -run xxx -bench 'Suite' -benchmem .
 
 # Regenerate BENCH_scotch.json: the full suite serial vs parallel.

@@ -69,10 +69,12 @@ func (a *App) policyPathVia(origin uint64, key netaddr.FlowKey, chain []string) 
 		return nil, nil, false
 	}
 	// The S_D rule applies only to packets returning from the middlebox.
+	// Pin it on our copy: Path's result may be shared with later calls.
+	out := append(hops, tail...)
 	if len(tail) > 0 && tail[0].DPID == mbLast.SD {
-		tail[0].InPort = mbLast.SDIn
+		out[len(hops)].InPort = mbLast.SDIn
 	}
-	return append(hops, tail...), waypoints, true
+	return out, waypoints, true
 }
 
 // buildChains plumbs each middlebox chain into the overlay: tunnels from

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"scotch/internal/device"
@@ -16,10 +15,11 @@ type Attach struct {
 	Port uint32
 }
 
+// edge is one direction of a switch-switch adjacency.
 type edge struct {
-	to      uint64
-	outPort uint32
-	cost    float64
+	from, to uint64
+	outPort  uint32
+	cost     float64
 }
 
 // Network is a simulated topology plus the indexes the controller needs.
@@ -31,7 +31,13 @@ type Network struct {
 	byName   map[string]*device.Switch
 	hosts    map[netaddr.IPv4]*device.Host
 	attach   map[netaddr.IPv4]Attach
-	adj      map[uint64][]edge
+
+	// edges is the switch graph, both directions of every link in link
+	// order; routes is its dense form with the shortest-path trees
+	// queried so far, built on the first query and dropped by every call
+	// that changes the graph.
+	edges  []edge
+	routes *routes
 
 	// Link registries for fault injection: direct switch-switch links
 	// keyed by both dpid orders, and host access links keyed by host IP.
@@ -58,7 +64,6 @@ func New(eng *sim.Engine) *Network {
 		byName:    make(map[string]*device.Switch),
 		hosts:     make(map[netaddr.IPv4]*device.Host),
 		attach:    make(map[netaddr.IPv4]Attach),
-		adj:       make(map[uint64][]edge),
 		swLinks:   make(map[[2]uint64]*device.Link),
 		hostLinks: make(map[netaddr.IPv4]*device.Link),
 		nextPort:  make(map[uint64]uint32),
@@ -76,6 +81,7 @@ func (n *Network) AddSwitch(name string, prof device.Profile) *device.Switch {
 	n.switches[sw.DPID] = sw
 	n.byName[name] = sw
 	n.nextPort[sw.DPID] = 1
+	n.routes = nil
 	return sw
 }
 
@@ -122,9 +128,7 @@ func (n *Network) LinkSwitchesVia(a *device.Switch, via device.Node, b *device.S
 	pa, pb := n.allocPort(a), n.allocPort(b)
 	device.Connect(a, pa, via, 1, cfg)
 	device.Connect(via, 2, b, pb, cfg)
-	cost := 2 * linkCost(cfg)
-	n.adj[a.DPID] = append(n.adj[a.DPID], edge{to: b.DPID, outPort: pa, cost: cost})
-	n.adj[b.DPID] = append(n.adj[b.DPID], edge{to: a.DPID, outPort: pb, cost: cost})
+	n.addEdges(a.DPID, b.DPID, pa, pb, 2*linkCost(cfg))
 	return pa, pb
 }
 
@@ -135,10 +139,17 @@ func (n *Network) LinkSwitches(a, b *device.Switch, cfg device.LinkConfig) (uint
 	l := device.Connect(a, pa, b, pb, cfg)
 	n.swLinks[[2]uint64{a.DPID, b.DPID}] = l
 	n.swLinks[[2]uint64{b.DPID, a.DPID}] = l
-	cost := linkCost(cfg)
-	n.adj[a.DPID] = append(n.adj[a.DPID], edge{to: b.DPID, outPort: pa, cost: cost})
-	n.adj[b.DPID] = append(n.adj[b.DPID], edge{to: a.DPID, outPort: pb, cost: cost})
+	n.addEdges(a.DPID, b.DPID, pa, pb, linkCost(cfg))
 	return pa, pb
+}
+
+// addEdges records both directions of an a-b link and drops the routes
+// computed over the old graph.
+func (n *Network) addEdges(a, b uint64, pa, pb uint32, cost float64) {
+	n.edges = append(n.edges,
+		edge{from: a, to: b, outPort: pa, cost: cost},
+		edge{from: b, to: a, outPort: pb, cost: cost})
+	n.routes = nil
 }
 
 // SwitchLink returns the direct link between two switches created by
@@ -183,7 +194,9 @@ type Hop struct {
 
 // Path computes a shortest path (by link delay) from the switch with dpid
 // from to the host with the given IP. The returned hops include the final
-// host-facing port. ok is false when no path exists.
+// host-facing port. ok is false when no path exists. The result may be
+// shared with later calls and must not be modified; copy it before
+// editing a hop.
 func (n *Network) Path(from uint64, dstIP netaddr.IPv4) ([]Hop, bool) {
 	at, ok := n.attach[dstIP]
 	if !ok {
@@ -201,17 +214,18 @@ func (n *Network) Path(from uint64, dstIP netaddr.IPv4) ([]Hop, bool) {
 		}
 		return h, true
 	}
-	hops, ok := n.switchPath(from, at.DPID)
+	r, rev, ok := n.route(from, at.DPID)
 	if !ok {
 		return nil, false
 	}
+	hops := r.appendHops(make([]Hop, 0, len(rev)+1), rev)
 	return append(hops, Hop{DPID: at.DPID, OutPort: at.Port}), true
 }
 
 // PathVia computes a path from switch from to dstIP that traverses the
 // given waypoint switches in order (the policy-consistency constraint of
 // paper §5.4: the physical path must cross the same middlebox-attached
-// switches as the overlay path).
+// switches as the overlay path). Like Path's, the result is read-only.
 func (n *Network) PathVia(from uint64, via []uint64, dstIP netaddr.IPv4) ([]Hop, bool) {
 	cur := from
 	var out []Hop
@@ -219,11 +233,11 @@ func (n *Network) PathVia(from uint64, via []uint64, dstIP netaddr.IPv4) ([]Hop,
 		if cur == w {
 			continue
 		}
-		seg, ok := n.switchPath(cur, w)
+		r, rev, ok := n.route(cur, w)
 		if !ok {
 			return nil, false
 		}
-		out = append(out, seg...)
+		out = r.appendHops(out, rev)
 		cur = w
 	}
 	tail, ok := n.Path(cur, dstIP)
@@ -234,68 +248,17 @@ func (n *Network) PathVia(from uint64, via []uint64, dstIP netaddr.IPv4) ([]Hop,
 }
 
 // SwitchPath returns hops from switch a through the fabric, ending with
-// the hop whose OutPort leads into switch b (b itself emits no hop).
+// the hop whose OutPort leads into switch b (b itself emits no hop). Like
+// Path's, the result is read-only.
 func (n *Network) SwitchPath(a, b uint64) ([]Hop, bool) {
-	return n.switchPath(a, b)
-}
-
-func (n *Network) switchPath(a, b uint64) ([]Hop, bool) {
 	if a == b {
 		return nil, true
 	}
-	dist := map[uint64]float64{a: 0}
-	type prevHop struct {
-		from    uint64
-		outPort uint32
+	r, rev, ok := n.route(a, b)
+	if !ok {
+		return nil, false
 	}
-	prev := map[uint64]prevHop{}
-	visited := map[uint64]bool{}
-	for {
-		// Extract the unvisited node with the smallest distance. The
-		// graphs here are small; an O(V^2) scan is fine and allocation
-		// free.
-		best := uint64(0)
-		bestD := math.Inf(1)
-		found := false
-		for node, d := range dist {
-			if visited[node] {
-				continue
-			}
-			// Tie-break equal distances on the node id: leaf-spine
-			// fabrics are full of equal-cost paths, and map iteration
-			// order must not pick the winner (reruns would diverge).
-			if d < bestD || (d == bestD && (!found || node < best)) {
-				best, bestD, found = node, d, true
-			}
-		}
-		if !found {
-			return nil, false
-		}
-		if best == b {
-			break
-		}
-		visited[best] = true
-		for _, e := range n.adj[best] {
-			nd := bestD + e.cost
-			if d, ok := dist[e.to]; !ok || nd < d {
-				dist[e.to] = nd
-				prev[e.to] = prevHop{from: best, outPort: e.outPort}
-			}
-		}
-	}
-	var rev []Hop
-	for cur := b; cur != a; {
-		ph, ok := prev[cur]
-		if !ok {
-			return nil, false
-		}
-		rev = append(rev, Hop{DPID: ph.from, OutPort: ph.outPort})
-		cur = ph.from
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, true
+	return r.appendHops(make([]Hop, 0, len(rev)), rev), true
 }
 
 // PathDelay sums the nominal link delays along a switch-to-switch path,
@@ -304,21 +267,13 @@ func (n *Network) PathDelay(a, b uint64) (time.Duration, bool) {
 	if a == b {
 		return 0, true
 	}
-	hops, ok := n.switchPath(a, b)
+	r, rev, ok := n.route(a, b)
 	if !ok {
 		return 0, false
 	}
 	var total float64
-	cur := a
-	for _, h := range hops {
-		for _, e := range n.adj[h.DPID] {
-			if e.outPort == h.OutPort {
-				total += e.cost
-				cur = e.to
-				break
-			}
-		}
+	for i := len(rev) - 1; i >= 0; i-- { // hop order, from a
+		total += r.out[rev[i]].cost
 	}
-	_ = cur
 	return time.Duration(total * float64(time.Second)), true
 }
